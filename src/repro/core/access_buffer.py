@@ -13,6 +13,8 @@ DiffMin-based prefetching (challenge C4).
 
 from __future__ import annotations
 
+from operator import sub
+
 from repro.snapshot import require_keys
 
 _SNAP_KEYS = (
@@ -130,7 +132,7 @@ class AccessBuffer:
             self.entries.append(block_addr)
             self._stamps.append(self._clock)
             return True
-        victim = min(range(len(self.entries)), key=lambda i: self._stamps[i])
+        victim = self._stamps.index(min(self._stamps))
         self.entries[victim] = block_addr
         self._stamps[victim] = self._clock
         return True
@@ -141,7 +143,7 @@ class AccessBuffer:
             self.diff_min = None
             return None
         ordered = sorted(self.entries)
-        self.diff_min = min(b - a for a, b in zip(ordered, ordered[1:]))
+        self.diff_min = min(map(sub, ordered[1:], ordered))
         return self.diff_min
 
     # -- protection (Record Protector hooks) -----------------------------------

@@ -41,6 +41,9 @@ class AccessTracker:
         self.threshold = threshold
         self.max_prefetches = max_prefetches
         self.buffers = [AccessBuffer(entries_per_buffer) for _ in range(num_buffers)]
+        # {inst_addr: pool index} over the valid buffers; allocation,
+        # replacement, reset and restore keep it current.
+        self._by_pc: dict[int, int] = {}
         self._lru = LRUTracker()
         self.proposals = 0
         self.guided_proposals = 0
@@ -49,6 +52,7 @@ class AccessTracker:
     def reset(self) -> None:
         for buffer in self.buffers:
             buffer.reset()
+        self._by_pc.clear()
         self._lru = LRUTracker()
         self.proposals = 0
         self.guided_proposals = 0
@@ -80,6 +84,11 @@ class AccessTracker:
             )
         for buffer, snap in zip(self.buffers, snaps):
             buffer.restore(snap)
+        self._by_pc = {
+            buffer.inst_addr: index
+            for index, buffer in enumerate(self.buffers)
+            if buffer.valid
+        }
         self._lru.restore(data["lru"])
         self.proposals = data["proposals"]
         self.guided_proposals = data["guided_proposals"]
@@ -88,10 +97,8 @@ class AccessTracker:
     # -- queries ---------------------------------------------------------------
 
     def buffer_for_pc(self, pc: int) -> AccessBuffer | None:
-        for buffer in self.buffers:
-            if buffer.valid and buffer.inst_addr == pc:
-                return buffer
-        return None
+        index = self._by_pc.get(pc)
+        return None if index is None else self.buffers[index]
 
     def protected_count(self) -> int:
         """Number of currently protected buffers (Fig. 12 series)."""
@@ -106,30 +113,28 @@ class AccessTracker:
         snapshot/restore, unlike ``id()``); candidate order is pool order
         either way, so victim selection is unchanged.
         """
-        buffers = self.buffers
-        for index, buffer in enumerate(buffers):
-            if buffer.valid and buffer.inst_addr == pc:
-                self._lru.touch(index)
-                return buffer
-        index = self._allocate_new(pc)
+        index = self._by_pc.get(pc)
         if index is None:
-            self.allocation_failures += 1
-            return None
+            index = self._allocate_new(pc)
+            if index is None:
+                self.allocation_failures += 1
+                return None
         self._lru.touch(index)
-        return buffers[index]
+        return self.buffers[index]
 
     def _allocate_new(self, pc: int) -> int | None:
-        for index, buffer in enumerate(self.buffers):
-            if not buffer.valid:
-                buffer.reset(pc)
-                return index
-        candidates = [i for i, b in enumerate(self.buffers) if not b.protected]
-        if not candidates:
-            # Every buffer is protected: no replacement is allowed (C3).
-            return None
-        victim = self._lru.victim(candidates)
-        self.buffers[victim].reset(pc)
-        return victim
+        buffers = self.buffers
+        index = next((i for i, b in enumerate(buffers) if not b.valid), None)
+        if index is None:
+            candidates = [i for i, b in enumerate(buffers) if not b.protected]
+            if not candidates:
+                # Every buffer is protected: no replacement is allowed (C3).
+                return None
+            index = self._lru.victim(candidates)
+            del self._by_pc[buffers[index].inst_addr]
+        buffers[index].reset(pc)
+        self._by_pc[pc] = index
+        return index
 
     # -- stages 2-4: record + prefetch ---------------------------------------------
 
@@ -151,8 +156,11 @@ class AccessTracker:
         if buffer is None:
             return []
         block_addr = observation.block_addr
-        buffer.record(block_addr, observation.now)
-        if buffer.valid_entries >= self.threshold:
+        entries = buffer.entries
+        # DiffMin depends only on the entry set, so it is recomputed only
+        # when the record changed that set (a refresh leaves it as it was).
+        changed = buffer.record(block_addr, observation.now)
+        if changed and len(entries) >= self.threshold:
             buffer.update_diff_min()
         step: int | None
         component = self.component
@@ -160,7 +168,7 @@ class AccessTracker:
             step = guided_scale
             component = self.guided_component
         else:
-            if buffer.valid_entries < self.threshold:
+            if len(entries) < self.threshold:
                 return []
             step = buffer.diff_min
         if not step:

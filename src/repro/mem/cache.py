@@ -10,10 +10,12 @@ latency classes the attacks in the paper distinguish:
 * L2 hit:   16 cycles (4 + 12)
 * memory:   136 cycles (4 + 12 + 120)
 
-Lookup is O(1): each set keeps a ``{block_addr: way}`` tag index alongside
-the way array, so the demand path never scans ways linearly (the seed code
-walked all ``assoc`` ways per access — 16 for the L2).  The index holds
-exactly the valid lines; every fill/invalidate keeps it in sync.
+Each set is one ``{block_addr: CacheLine}`` dict holding exactly the
+resident lines in LRU order, least recently used first: lookup is one dict
+probe, a hit re-inserts its key at the end, and a fill into a full set
+evicts the first key.  A fill allocates one line and a removal drops it, so
+an untouched set costs an empty dict and a snapshot carries only resident
+lines.
 """
 
 from __future__ import annotations
@@ -84,12 +86,6 @@ class MemoryPort:
         """Writebacks reaching memory need no bookkeeping."""
 
 
-# Placeholder stamp row for sets whose way arrays are not materialised yet;
-# never written (LRU stamps are only touched after a set's first fill swaps
-# in a real row).
-_EMPTY_STAMPS: list[int] = []
-
-
 class Cache:
     """One level of set-associative cache."""
 
@@ -103,9 +99,6 @@ class Cache:
         "parent",
         "num_sets",
         "_sets",
-        "_stamps",
-        "_tags",
-        "_clock",
         "_block_mask",
         "_block_bits",
         "_set_mask",
@@ -143,13 +136,10 @@ class Cache:
         self.num_sets = size // (assoc * block)
         if self.num_sets & (self.num_sets - 1):
             raise ConfigError(f"{name}: num_sets {self.num_sets} not a power of two")
-        # Way arrays materialise lazily on a set's first miss: a 2MB L2 has
-        # 32K lines, and eagerly allocating them dominated short runs.
-        self._sets: list[list[CacheLine] | None] = [None] * self.num_sets
-        self._stamps: list[list[int]] = [_EMPTY_STAMPS] * self.num_sets
-        # Per-set {block_addr: way} index over the valid lines.
-        self._tags: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
-        self._clock = 0
+        # Per-set {block_addr: line} in LRU order, least recently used first.
+        self._sets: list[dict[int, CacheLine]] = [
+            {} for _ in range(self.num_sets)
+        ]
         # Hoisted address arithmetic (amap.block_addr/set_index per access
         # cost a call plus a power-of-two re-check each).
         self._block_mask = ~(block - 1)
@@ -162,87 +152,55 @@ class Cache:
 
     # -- lookup helpers ------------------------------------------------------
 
-    def _touch(self, set_index: int, way: int) -> None:
-        self._clock += 1
-        self._stamps[set_index][way] = self._clock
+    def _set_of(self, block_addr: int) -> dict[int, CacheLine]:
+        return self._sets[(block_addr >> self._block_bits) & self._set_mask]
 
     def contains(self, block_addr: int) -> bool:
         """True when the line is present (including in-flight fills)."""
         block_addr &= self._block_mask
         set_index = (block_addr >> self._block_bits) & self._set_mask
-        return block_addr in self._tags[set_index]
+        return block_addr in self._sets[set_index]
 
     def contains_ready(self, block_addr: int, now: int) -> bool:
         """True when the line is present and its data has arrived."""
         line = self.line_for(block_addr)
-        return line is not None and line.ready(now)
+        return line is not None and line.ready_time <= now
 
     def line_for(self, block_addr: int) -> CacheLine | None:
         """The line holding ``block_addr`` or None (tests/analysis)."""
         block_addr &= self._block_mask
-        set_index = (block_addr >> self._block_bits) & self._set_mask
-        way = self._tags[set_index].get(block_addr)
-        if way is None:
-            return None
-        ways = self._sets[set_index]
-        assert ways is not None  # the tag index only covers materialised sets
-        return ways[way]
+        return self._set_of(block_addr).get(block_addr)
 
     # -- replacement ---------------------------------------------------------
 
-    def _victim_way(self, set_index: int) -> int:
-        ways = self._sets[set_index]
-        if ways is None:
-            self._sets[set_index] = [CacheLine() for _ in range(self.assoc)]
-            self._stamps[set_index] = [0] * self.assoc
-            return 0
-        if len(self._tags[set_index]) < self.assoc:
-            for way, line in enumerate(ways):
-                if not line.valid:
-                    return way
-        stamps = self._stamps[set_index]
-        return stamps.index(min(stamps))
-
-    def _evict(self, set_index: int, way: int, now: int) -> None:
-        ways = self._sets[set_index]
-        assert ways is not None  # _victim_way materialised the set
-        line = ways[way]
-        if not line.valid:
-            return
+    def _evict(
+        self, lines: dict[int, CacheLine], block_addr: int, now: int
+    ) -> None:
         self.stats.evictions += 1
-        block_addr = line.block_addr
         # Back-invalidate child copies first: a dirty child line writes back
         # into this line (mark_dirty), so the dirty check below sees it and
         # the modified data propagates instead of dying with the eviction.
         if self.on_evict is not None:
             self.on_evict(block_addr, now)
+        line = lines.pop(block_addr)
         if line.dirty:
             self.stats.writebacks += 1
             self.parent.mark_dirty(block_addr)
-        tags = self._tags[set_index]
-        if tags.get(block_addr) == way:
-            del tags[block_addr]
-        line.invalidate()
 
     def _insert(
         self,
+        lines: dict[int, CacheLine],
         block_addr: int,
         now: int,
         ready_time: int,
         prefetched: bool,
         component: str | None,
     ) -> CacheLine:
-        set_index = (block_addr >> self._block_bits) & self._set_mask
-        way = self._victim_way(set_index)
-        self._evict(set_index, way, now)
-        ways = self._sets[set_index]
-        assert ways is not None  # _victim_way materialised the set
-        line = ways[way]
-        line.fill(
-            block_addr, ready_time, prefetched=prefetched, component=component
+        if len(lines) >= self.assoc:
+            self._evict(lines, next(iter(lines)), now)
+        line = lines[block_addr] = CacheLine(
+            block_addr, ready_time, prefetched, component
         )
-        self._tags[set_index][block_addr] = way
-        self._touch(set_index, way)
         return line
 
     def mark_dirty(self, block_addr: int) -> None:
@@ -263,18 +221,14 @@ class Cache:
         state transitions are identical but the counters differ.
         """
         block_addr = addr & self._block_mask
-        set_index = (block_addr >> self._block_bits) & self._set_mask
+        lines = self._sets[(block_addr >> self._block_bits) & self._set_mask]
         stats = self.stats
         if demand:
             stats.demand_accesses += 1
 
-        way = self._tags[set_index].get(block_addr)
-        if way is not None:
-            ways = self._sets[set_index]
-            assert ways is not None  # the tag index only covers materialised sets
-            line = ways[way]
-            self._clock += 1
-            self._stamps[set_index][way] = self._clock
+        line = lines.pop(block_addr, None)
+        if line is not None:
+            lines[block_addr] = line  # now the most recently used
             if write:
                 line.dirty = True
             if line.ready_time <= now:
@@ -326,6 +280,7 @@ class Cache:
             )
         total_latency = (start - now) + fill_time
         line = self._insert(
+            lines,
             block_addr,
             now,
             now + total_latency,
@@ -351,22 +306,16 @@ class Cache:
         a dirty in-flight line (a store merged into the fill) writes back
         first, as every other removal path does.
         """
-        set_index = (block_addr >> self._block_bits) & self._set_mask
-        way = self._tags[set_index].get(block_addr)
-        if way is None:
-            return
-        ways = self._sets[set_index]
-        assert ways is not None  # the tag index only covers materialised sets
-        line = ways[way]
-        if not line.prefetched or line.ready_time <= now:
+        lines = self._set_of(block_addr)
+        line = lines.get(block_addr)
+        if line is None or not line.prefetched or line.ready_time <= now:
             return
         if self.on_evict is not None:
             self.on_evict(block_addr, now)
         if line.dirty:
             self.stats.writebacks += 1
             self.parent.mark_dirty(block_addr)
-        del self._tags[set_index][block_addr]
-        line.invalidate()
+        del lines[block_addr]
         self.stats.prefetch_squashed += 1
 
     # -- prefetch path -------------------------------------------------------
@@ -378,8 +327,8 @@ class Cache:
         present) or dropped (no MSHR free).
         """
         block_addr = addr & self._block_mask
-        set_index = (block_addr >> self._block_bits) & self._set_mask
-        if block_addr in self._tags[set_index]:
+        lines = self._sets[(block_addr >> self._block_bits) & self._set_mask]
+        if block_addr in lines:
             return None
         if not self.mshr.prefetch_available(now):
             self.mshr.prefetch_drops += 1
@@ -394,7 +343,7 @@ class Cache:
             self.stats.prefetch_dropped += 1
             return None
         self._insert(
-            block_addr, now, ready_time, prefetched=True, component=component
+            lines, block_addr, now, ready_time, prefetched=True, component=component
         )
         self.stats.prefetch_issued += 1
         return ready_time
@@ -402,7 +351,7 @@ class Cache:
     # -- invalidation --------------------------------------------------------
 
     def invalidate_block(self, block_addr: int) -> bool:
-        """Drop the line if present; returns True when a valid copy existed.
+        """Drop the line if present; returns True when a copy existed.
 
         A dirty copy is written back to the parent first (like ``_evict``
         and ``flush_block``): cross-core store invalidations, prefetchw
@@ -410,66 +359,43 @@ class Cache:
         modified data.
         """
         block_addr &= self._block_mask
-        set_index = (block_addr >> self._block_bits) & self._set_mask
-        way = self._tags[set_index].pop(block_addr, None)
-        if way is None:
+        line = self._set_of(block_addr).pop(block_addr, None)
+        if line is None:
             return False
-        ways = self._sets[set_index]
-        assert ways is not None  # the tag index only covers materialised sets
-        line = ways[way]
         if line.dirty:
             self.stats.writebacks += 1
-            self.parent.mark_dirty(line.block_addr)
-        line.invalidate()
+            self.parent.mark_dirty(block_addr)
         return True
 
     def flush_block(self, block_addr: int) -> bool:
         """clflush semantics: write back if dirty, then invalidate."""
-        block_addr &= self._block_mask
-        set_index = (block_addr >> self._block_bits) & self._set_mask
-        way = self._tags[set_index].pop(block_addr, None)
-        if way is None:
+        if not self.invalidate_block(block_addr):
             return False
-        line = self._sets[set_index][way]
-        if line.dirty:
-            self.stats.writebacks += 1
-            self.parent.mark_dirty(line.block_addr)
-        line.invalidate()
         self.stats.flushes += 1
         return True
 
     # -- snapshot/restore ----------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """All mutable state; only materialised sets are recorded.
+        """All mutable state: each non-empty set's lines in LRU order.
 
-        Lazy materialisation is itself state: an unmaterialised set and a
-        materialised all-invalid set behave identically on the demand path,
-        but restore reproduces the exact shape so a restored cache is
-        field-for-field identical to the live cache it was taken from
-        (which is what the state-parity harness compares).
+        A line is the row ``(block_addr, ready_time, prefetched, component,
+        dirty, useful_counted)``, the :class:`CacheLine` constructor order.
         """
-        sets = []
-        stamps = self._stamps
-        tags = self._tags
-        for set_index, ways in enumerate(self._sets):
-            if ways is None:
-                continue
-            sets.append((
-                set_index,
-                tuple(
-                    (line.block_addr, line.valid, line.dirty,
-                     line.ready_time, line.prefetched, line.component,
-                     line.useful_counted)
-                    for line in ways
-                ),
-                tuple(stamps[set_index]),
-                tuple(tags[set_index].items()),
-            ))
         stats = self.stats
         return {
-            "sets": tuple(sets),
-            "clock": self._clock,
+            "sets": tuple(
+                (
+                    set_index,
+                    tuple(
+                        (line.block_addr, line.ready_time, line.prefetched,
+                         line.component, line.dirty, line.useful_counted)
+                        for line in lines.values()
+                    ),
+                )
+                for set_index, lines in enumerate(self._sets)
+                if lines
+            ),
             "stats": tuple(
                 getattr(stats, name) for name in _CACHE_STATS_FIELDS
             ),
@@ -477,40 +403,21 @@ class Cache:
         }
 
     def restore(self, data: dict[str, Any]) -> None:
-        """Inverse of :meth:`snapshot`; line objects are reused in place."""
-        require_keys(data, ("sets", "clock", "stats", "mshr"), self.name)
-        snap_sets = data["sets"]
-        covered = frozenset(entry[0] for entry in snap_sets)
+        """Inverse of :meth:`snapshot`; set dicts are refilled in place."""
+        require_keys(data, ("sets", "stats", "mshr"), self.name)
         sets = self._sets
-        # De-materialise sets the snapshot never saw (restoring an older,
-        # colder image onto a warmer cache).
-        for set_index in range(self.num_sets):
-            if sets[set_index] is not None and set_index not in covered:
-                sets[set_index] = None
-                self._stamps[set_index] = _EMPTY_STAMPS
-                self._tags[set_index].clear()
-        for set_index, lines, stamps, tags in snap_sets:
-            ways = sets[set_index]
-            if ways is None:
-                ways = [CacheLine() for _ in range(self.assoc)]
-                sets[set_index] = ways
-            for line, state in zip(ways, lines):
-                (line.block_addr, line.valid, line.dirty, line.ready_time,
-                 line.prefetched, line.component, line.useful_counted) = state
-            self._stamps[set_index] = list(stamps)
-            self._tags[set_index] = dict(tags)
-        self._clock = data["clock"]
+        for lines in filter(None, sets):
+            lines.clear()
+        for set_index, rows in data["sets"]:
+            lines = sets[set_index]
+            for row in rows:
+                lines[row[0]] = CacheLine(*row)
         stats = self.stats
         for name, value in zip(_CACHE_STATS_FIELDS, data["stats"]):
             setattr(stats, name, value)
         self.mshr.restore(data["mshr"])
 
     def resident_blocks(self) -> list[int]:
-        """All valid block addresses (tests/analysis)."""
-        return [
-            line.block_addr
-            for ways in self._sets
-            if ways is not None
-            for line in ways
-            if line.valid
-        ]
+        """Resident block addresses, set by set, each set in LRU order
+        (tests/analysis)."""
+        return [block_addr for lines in self._sets for block_addr in lines]

@@ -15,6 +15,9 @@ from typing import Any
 
 from repro.snapshot import require_keys
 
+#: ``MSHRFile._earliest`` of an empty file: no entry can expire.
+_NEVER = float("inf")
+
 
 @dataclass(slots=True)
 class _Entry:
@@ -45,6 +48,7 @@ class MSHRFile:
         "max_merges",
         "prefetch_entries",
         "_entries",
+        "_earliest",
         "demand_waits",
         "total_wait_cycles",
         "merges",
@@ -63,6 +67,9 @@ class MSHRFile:
         self.max_merges = max_merges
         self.prefetch_entries = prefetch_entries
         self._entries: list[_Entry] = []
+        # Earliest ready_time among _entries (_NEVER when empty): _purge
+        # rebuilds the list only once ``now`` reaches it.
+        self._earliest: float = _NEVER
         self.demand_waits = 0
         self.total_wait_cycles = 0
         self.merges = 0
@@ -97,18 +104,11 @@ class MSHRFile:
              "prefetch_drops", "prefetch_squashes", "last_squashed_block"),
             "MSHRFile",
         )
-        self._entries = [
-            _Entry(
-                block_addr=block_addr,
-                ready_time=ready_time,
-                merges=merges,
-                is_prefetch=is_prefetch,
-                borrows_prefetch_slot=borrows,
-                demand_consumed=consumed,
-            )
-            for (block_addr, ready_time, merges, is_prefetch, borrows,
-                 consumed) in data["entries"]
-        ]
+        # _earliest is derived from the entries, so restore recomputes it.
+        self._entries = []
+        self._earliest = _NEVER  # lint: allow SNAP501
+        for row in data["entries"]:
+            self._append(_Entry(*row))
         self.demand_waits = data["demand_waits"]
         self.total_wait_cycles = data["total_wait_cycles"]
         self.merges = data["merges"]
@@ -117,7 +117,24 @@ class MSHRFile:
         self.last_squashed_block = data["last_squashed_block"]
 
     def _purge(self, now: int) -> None:
-        self._entries = [e for e in self._entries if e.ready_time > now]
+        """Drop completed fills; the list is rebuilt only when one expired."""
+        if self._earliest > now:
+            return
+        kept = []
+        earliest = _NEVER
+        for entry in self._entries:
+            ready_time = entry.ready_time
+            if ready_time > now:
+                kept.append(entry)
+                if ready_time < earliest:
+                    earliest = ready_time
+        self._entries = kept
+        self._earliest = earliest
+
+    def _append(self, entry: _Entry) -> None:
+        self._entries.append(entry)
+        if entry.ready_time < self._earliest:
+            self._earliest = entry.ready_time
 
     def occupancy(self, now: int) -> int:
         """Number of fills still outstanding at ``now``."""
@@ -222,6 +239,9 @@ class MSHRFile:
             if prefetch_entries:
                 victim = min(prefetch_entries, key=lambda e: e.ready_time)
                 self._entries.remove(victim)
+                self._earliest = min(
+                    (e.ready_time for e in self._entries), default=_NEVER
+                )
                 self.prefetch_squashes += 1
                 self.last_squashed_block = victim.block_addr
                 borrows = True
@@ -232,7 +252,7 @@ class MSHRFile:
                 self.total_wait_cycles += start_time - now
                 self._purge(start_time)
         ready_time = start_time + fill_time
-        self._entries.append(
+        self._append(
             _Entry(
                 block_addr=block_addr,
                 ready_time=ready_time,
@@ -250,7 +270,7 @@ class MSHRFile:
         """
         self._purge(now)
         ready_time = now + fill_time
-        self._entries.append(
+        self._append(
             _Entry(block_addr=block_addr, ready_time=ready_time, is_prefetch=True)
         )
         return ready_time
@@ -269,7 +289,7 @@ class MSHRFile:
             self.prefetch_drops += 1
             return None
         ready_time = now + fill_time
-        self._entries.append(
+        self._append(
             _Entry(block_addr=block_addr, ready_time=ready_time, is_prefetch=True)
         )
         return ready_time

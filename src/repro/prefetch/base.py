@@ -19,9 +19,12 @@ from typing import Any, Callable
 from repro.snapshot import require_keys
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Observation:
     """One demand access as seen by an L1D prefetcher.
+
+    Slotted and not frozen: one is built per load or store on a core with a
+    prefetcher, and a frozen dataclass pays ``object.__setattr__`` per field.
 
     Attributes:
         op: ``"load"`` or ``"store"``.
@@ -47,9 +50,10 @@ class Observation:
     speculative: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PrefetchRequest:
-    """A single-line prefetch request raised by a prefetcher.
+    """A single-line prefetch request raised by a prefetcher (slotted and
+    not frozen, like :class:`Observation`).
 
     Attributes:
         addr: byte address anywhere in the target line.

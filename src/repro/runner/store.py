@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import threading
 from typing import Any
 
 from repro.errors import ConfigError
@@ -117,10 +118,16 @@ class ResultStore:
             "result": result.to_json(),
         }
         # Write-then-rename so a crashed run never leaves a torn file that
-        # a later get() would have to classify.
-        tmp = self._path(key).with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, self._path(key))
+        # a later get() would have to classify.  The temporary name is unique
+        # to this writer: processes sharing a store may put the same key at
+        # once, and each must rename only its own complete file into place.
+        tmp = self.root / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         if self.max_bytes is not None:
             self._evict(keep=self._path(key))
 

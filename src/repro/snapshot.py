@@ -32,7 +32,7 @@ from repro.errors import SnapshotError
 __all__ = ["SNAPSHOT_VERSION", "require_keys"]
 
 # Bump whenever any component's snapshot layout changes shape.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def require_keys(data: dict, expected: Iterable[str], what: str) -> None:

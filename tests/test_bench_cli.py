@@ -1,6 +1,8 @@
 """The ``python -m repro bench`` command and its JSON report."""
 
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,9 +30,27 @@ def test_bench_cli_quick_emits_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["schema"] == bench.SCHEMA
     assert set(report["scenarios"]) == set(bench.SCENARIO_NAMES)
-    # Quick mode shrinks the workload and runs one pass per scenario.
+    # Quick mode shrinks the workload and times one warm pass per scenario.
     assert report["scale"] == bench.QUICK_SCALE
     assert report["repeats"] == 1
+
+
+def test_scenario_warm_up_run_is_not_timed():
+    """Every scenario runs once untimed before its timed repeats, so a
+    one-repeat (``--quick``) sample never times program build and strict
+    analysis.  Here the first run is slow and every later one instant."""
+    runs = []
+
+    def run():
+        if not runs:
+            time.sleep(0.3)
+        runs.append(len(runs))
+        return SimpleNamespace(instructions=100, cycles=200)
+
+    result = bench._time_scenario("probe", run, repeats=1)
+    assert runs == [0, 1]
+    assert result.repeats == 1
+    assert result.seconds < 0.3
 
 
 def test_bench_cli_rejects_bad_scale():

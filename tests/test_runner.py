@@ -370,6 +370,51 @@ def test_store_result_kind_dispatch(tmp_path):
     assert bogus.get(job.key()) is None and bogus.misses == 1
 
 
+def _put_repeatedly(root: str, key: str, writer: int, puts: int) -> None:
+    """One writer process of the shared-key race test."""
+    store = ResultStore(root)
+    result = SimResult(
+        cycles=writer,
+        instructions=1,
+        core_cycles=[writer],
+        core_instructions=[1],
+        l1d_stats=[{}],
+        l2_stats={},
+        prefetch_counts=[{}],
+    )
+    for index in range(puts):
+        store.put(key, {"writer": writer, "put": index}, result)
+
+
+def test_store_survives_concurrent_writers_of_one_key(tmp_path):
+    """Processes sharing a store put the same key at once: every put
+    returns and the surviving entry loads.  Writers used to share one
+    ``<key>.json.tmp``, so one could rename another's half-written file into
+    place or fail in ``os.replace`` after the file was renamed away."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("spawn")
+    writers = [
+        context.Process(
+            target=_put_repeatedly, args=(str(tmp_path), "shared", writer, 200)
+        )
+        for writer in range(4)
+    ]
+    for process in writers:
+        process.start()
+    try:
+        for process in writers:
+            process.join(timeout=120)
+        assert [process.exitcode for process in writers] == [0, 0, 0, 0]
+    finally:
+        for process in writers:
+            if process.is_alive():
+                process.kill()
+    result = ResultStore(tmp_path).get("shared")
+    assert result is not None and result.cycles in range(4)
+    assert [path.name for path in tmp_path.iterdir()] == ["shared.json"]
+
+
 def test_store_clear(tmp_path):
     store = ResultStore(tmp_path)
     job = common.sim_job("999.specrand", PrefetcherSpec(kind="none"), 0.05)

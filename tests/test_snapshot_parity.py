@@ -7,7 +7,8 @@ snapshots, runs K more, restores and re-runs the K — while the control
 simply runs N+K straight through.  ``tools.state_diff`` then deep-compares
 the two live object graphs field by field; a single diverging register,
 cache line, MSHR entry or tracker counter fails with its exact path
-(``core[1].l1._sets[3][0].dirty``).
+(``core[1].l1._sets[3][65728].dirty``; a cache set's key order is its LRU
+order, so a reordered set fails too).
 
 Also here: the snapshot versioning contract (mismatched
 ``SNAPSHOT_VERSION``, unknown/missing fields and topology mismatches all
@@ -31,10 +32,13 @@ from tools.state_diff import diff_systems, state_diff
 from repro.errors import SnapshotError
 from repro.experiments.common import PERF_CORE, security_spec
 from repro.isa.builder import ProgramBuilder
+from repro.mem.cache import Cache, MemoryPort
+from repro.mem.memory import MainMemory
 from repro.runner.job import ATTACK_KINDS
 from repro.sim.config import PrefetcherSpec, SystemConfig
 from repro.sim.simulator import build_system
 from repro.snapshot import SNAPSHOT_VERSION
+from repro.utils.addr import AddressMap
 from repro.workloads import get_workload
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "timing_parity.json"
@@ -198,6 +202,22 @@ def test_countdown_fusion_is_cycle_exact():
     assert fused_result.cycles == unfused_result.cycles
     assert fused_result.instructions == unfused_result.instructions
     assert diff_systems(fused, unfused) == []
+
+
+def test_state_diff_reports_cache_lru_order():
+    """Two caches holding the same lines in a different LRU order differ:
+    the next fill into that set would evict different lines."""
+    caches = []
+    for last in (0x0, 0x200):  # both map to set 0 of this 8-set cache
+        cache = Cache(
+            "L1D0", size=1024, assoc=2, amap=AddressMap(), hit_latency=4,
+            parent=MemoryPort(MainMemory()),
+        )
+        cache.access(0x0, now=0)
+        cache.access(0x200, now=0)
+        cache.access(last, now=500)  # a hit: ``last`` becomes most recent
+        caches.append(cache)
+    assert state_diff(*caches, path="l1") == ["l1._sets[0]: key order differs"]
 
 
 # --- versioning and shape errors -----------------------------------------------

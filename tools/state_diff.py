@@ -3,7 +3,7 @@
 ``state_diff(a, b)`` walks two object graphs in lockstep — ``__slots__``
 and instance ``__dict__`` attributes, dataclass fields, dicts, lists,
 tuples and sets — and returns a list of human-readable divergence paths
-like ``core[1].l1._sets[3][0].dirty: True != False``.  An empty list means
+like ``core[1].l1._sets[3][65728].dirty: True != False``.  An empty list means
 the two graphs are field-for-field identical.
 
 The walk skips configuration and topology that is immutable for a given
@@ -11,7 +11,9 @@ system (program text, decode caches, dispatch tables, geometry constants)
 and back-references (``Core.hierarchy``, ``Cache.parent``) that would
 otherwise make every comparison traverse the whole system from every node.
 Plain dicts compare order-insensitively (key set + per-key values);
-``collections.OrderedDict`` compares key *order* too.  Behavioural order
+``collections.OrderedDict`` compares key *order* too, and so do the dicts
+under the fields named in :data:`ORDERED_FIELDS` (a cache set's key order
+is its LRU order).  Other behavioural order
 dependence hiding in plain dicts (e.g. a FIFO keyed on insertion order) is
 covered differentially instead: the parity harness also runs both systems
 onward and compares their final digests, so an order divergence that
@@ -78,6 +80,11 @@ PER_CLASS_SKIP: dict[str, frozenset[str]] = {
     ),
 }
 
+#: Per-class fields whose dicts (at any depth) hold state in their key
+#: order, compared like ``OrderedDict``: a ``Cache`` set lists its lines
+#: least recently used first.
+ORDERED_FIELDS: dict[str, frozenset[str]] = {"Cache": frozenset({"_sets"})}
+
 _LEAF_TYPES = (int, float, complex, str, bytes, bool, type(None))
 
 
@@ -132,6 +139,7 @@ def _walk(
     out: list[str],
     visited: set[tuple[int, int]],
     limit: int,
+    ordered: bool = False,
 ) -> None:
     if len(out) >= limit:
         return
@@ -151,14 +159,14 @@ def _walk(
         return
     visited.add(key)
     if isinstance(a, dict):
-        _walk_dict(a, b, path, out, visited, limit)
+        _walk_dict(a, b, path, out, visited, limit, ordered)
         return
     if isinstance(a, (list, tuple)):
         if len(a) != len(b):
             out.append(f"{path}: length {len(a)} != {len(b)}")
             return
         for i, (xa, xb) in enumerate(zip(a, b)):
-            _walk(xa, xb, f"{path}[{i}]", out, visited, limit)
+            _walk(xa, xb, f"{path}[{i}]", out, visited, limit, ordered)
         return
     if isinstance(a, (set, frozenset)):
         only_a, only_b = a - b, b - a
@@ -176,6 +184,7 @@ def _walk(
             out.append(f"{path}: {a!r} != {b!r}")
         return
     skip = PER_CLASS_SKIP.get(type(a).__name__, frozenset())
+    ordered_fields = ORDERED_FIELDS.get(type(a).__name__, frozenset())
     for name in fields:
         if name in GLOBAL_SKIP or name in skip:
             continue
@@ -188,18 +197,26 @@ def _walk(
             continue
         if callable(xa) and callable(xb):
             continue
-        _walk(xa, xb, f"{path}.{name}", out, visited, limit)
+        _walk(
+            xa, xb, f"{path}.{name}", out, visited, limit, name in ordered_fields
+        )
 
 
 def _walk_dict(
-    a: dict, b: dict, path: str, out: list[str], visited: set, limit: int
+    a: dict,
+    b: dict,
+    path: str,
+    out: list[str],
+    visited: set,
+    limit: int,
+    ordered: bool = False,
 ) -> None:
     if a.keys() != b.keys():
         only_a = sorted(map(repr, a.keys() - b.keys()))
         only_b = sorted(map(repr, b.keys() - a.keys()))
         out.append(f"{path}: keys differ (+{only_a} -{only_b})")
         return
-    if isinstance(a, OrderedDict) and tuple(a) != tuple(b):
+    if (ordered or isinstance(a, OrderedDict)) and tuple(a) != tuple(b):
         out.append(f"{path}: key order differs")
         return
     for k in a:
