@@ -54,6 +54,7 @@ transformer (:mod:`repro.analysis.defense`) instead.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.mem.hierarchy import HierarchyConfig
@@ -147,6 +148,11 @@ class CacheState:
             block for per_set in self._may.values() for block in per_set
         )
 
+    def set_blocks(self, block: int) -> list[int]:
+        """Blocks the must or may side tracks in ``block``'s set."""
+        s = self.geometry.set_of(block)
+        return [*self._must.get(s, {}), *self._may.get(s, {})]
+
     # -- transfer functions ----------------------------------------------------
 
     def access(self, block: int) -> None:
@@ -195,6 +201,15 @@ class CacheState:
                 else:
                     may[c] = age + 1
         may[block] = 0
+
+    def demote(self, block: int) -> None:
+        """``block`` is no longer certainly resident; its may bound stays."""
+        s = self.geometry.set_of(block)
+        must = self._must.get(s)
+        if must is not None and block in must:
+            del must[block]
+            if not must:
+                del self._must[s]
 
     def flush(self, block: int) -> None:
         """Invalidate ``block`` (clflush / back-invalidation): certain miss.
@@ -349,6 +364,40 @@ class LatencyInterval:
         return self.lo == self.hi
 
 
+def _restore_inclusion(
+    l1s: Sequence[CacheState],
+    l2: CacheState,
+    checked: Iterable[int],
+    exclusive: dict[int, int] | None = None,
+) -> None:
+    """L2 evictions back-invalidate every L1: keep the abstraction inclusive.
+
+    A block stays certainly-in-L1 only while certainly-in-L2 (otherwise a
+    possible L2 eviction may have knocked it out); a block certainly
+    evicted from L2 is certainly gone from every L1, and its ``prefetchw``
+    ownership record dies with the line, as
+    :meth:`repro.mem.hierarchy.MemoryHierarchy._back_invalidate` drops it.
+
+    Only the ``checked`` blocks are examined.  Callers pass every block the
+    transfer could have demoted: after a demand fill, the accessed block
+    plus every block the L2 tracked in that block's set before the fill
+    (the only L2 set a fill ages); after a havoc, every block the L1
+    tracks.  Every L1 that was inclusive before the transfer is inclusive
+    again afterwards.
+    """
+    verdicts = [(block, l2.classify(block)) for block in sorted(set(checked))]
+    for l1 in l1s:
+        for block, verdict in verdicts:
+            if verdict == MISS:
+                l1.flush(block)
+            elif verdict == UNKNOWN:
+                l1.demote(block)
+    if exclusive:
+        for block, verdict in verdicts:
+            if verdict == MISS:
+                exclusive.pop(block, None)
+
+
 class HierarchyState:
     """Two-level abstract hierarchy: private L1D over shared inclusive L2.
 
@@ -404,26 +453,6 @@ class HierarchyState:
 
     # -- internal helpers ------------------------------------------------------
 
-    def _enforce_inclusion(self) -> None:
-        """L2 evictions back-invalidate L1: keep the abstraction inclusive.
-
-        A block stays certainly-in-L1 only while certainly-in-L2 (otherwise
-        a possible L2 eviction may have knocked it out); a block certainly
-        evicted from L2 is certainly gone from L1 too.
-        """
-        for block in sorted(self.l1.must_blocks()):
-            if self.l2.classify(block) != HIT:
-                s = self.l1.geometry.set_of(block)
-                must = self.l1._must.get(s)
-                if must is not None:
-                    must.pop(block, None)
-                    if not must:
-                        del self.l1._must[s]
-        if not self.l1.may_universal:
-            for block in sorted(self.l1.may_blocks() or frozenset()):
-                if self.l2.classify(block) == MISS:
-                    self.l1.flush(block)
-
     def _fill_interval(self, block: int) -> LatencyInterval:
         """Latency of a demand access classified against both levels.
 
@@ -436,10 +465,11 @@ class HierarchyState:
             self.l1.access(block)
             return LatencyInterval(self.l1_latency, self.l1_latency)
         l2_class = self.l2.classify(block)
+        checked = [block, *self.l2.set_blocks(block)]
         if l1_class == MISS:
             self.l2.access(block)
             self.l1.access(block)
-            self._enforce_inclusion()
+            _restore_inclusion((self.l1,), self.l2, checked)
             if l2_class == HIT:
                 return LatencyInterval(self.l2_latency, self.l2_latency)
             if l2_class == MISS:
@@ -450,7 +480,7 @@ class HierarchyState:
         touched.access(block)
         self.l2 = self.l2.join(touched)
         self.l1.access(block)
-        self._enforce_inclusion()
+        _restore_inclusion((self.l1,), self.l2, checked)
         hi = self.l2_latency if l2_class == HIT else self.memory_latency
         return LatencyInterval(self.l1_latency, hi)
 
@@ -464,7 +494,9 @@ class HierarchyState:
             lo = self.memory_latency
         self.l1.havoc_access()
         self.l2.havoc_access()
-        self._enforce_inclusion()
+        # The L2 havoc ages every set, so every block the L1 tracks is
+        # checked; the L1's may side is now universal and tracks none.
+        _restore_inclusion((self.l1,), self.l2, self.l1.must_blocks())
         return LatencyInterval(lo, self.memory_latency)
 
     # -- demand interface ------------------------------------------------------
@@ -562,6 +594,8 @@ class MultiCoreHierarchyState:
     * ``prefetchw`` invalidates other copies (paying
       ``prefetchw_snoop_latency`` when one existed) and records the
       issuing core as exclusive owner;
+    * an L2 eviction back-invalidates the line in every core's L1 and
+      drops its ownership record;
     * ``clflush`` evicts the line from every cache, everywhere.
 
     Software prefetches are modelled as *completing* fills: the concrete
@@ -627,22 +661,6 @@ class MultiCoreHierarchyState:
 
     # -- internal helpers ------------------------------------------------------
 
-    def _enforce_inclusion(self, core: int) -> None:
-        """Per-core inclusion against the shared L2 (see HierarchyState)."""
-        l1 = self.l1s[core]
-        for block in sorted(l1.must_blocks()):
-            if self.l2.classify(block) != HIT:
-                s = l1.geometry.set_of(block)
-                must = l1._must.get(s)
-                if must is not None:
-                    must.pop(block, None)
-                    if not must:
-                        del l1._must[s]
-        if not l1.may_universal:
-            for block in sorted(l1.may_blocks() or frozenset()):
-                if self.l2.classify(block) == MISS:
-                    l1.flush(block)
-
     def _yield_exclusivity(self, core: int, block: int) -> None:
         """Steal an exclusively held line when another core touches it."""
         owner = self.exclusive.get(block)
@@ -659,10 +677,11 @@ class MultiCoreHierarchyState:
             l1.access(block)
             return LatencyInterval(self.l1_latency, self.l1_latency)
         l2_class = self.l2.classify(block)
+        checked = [block, *self.l2.set_blocks(block)]
         if l1_class == MISS:
             self.l2.access(block)
             l1.access(block)
-            self._enforce_inclusion(core)
+            _restore_inclusion(self.l1s, self.l2, checked, self.exclusive)
             if l2_class == HIT:
                 return LatencyInterval(self.l2_latency, self.l2_latency)
             if l2_class == MISS:
@@ -672,7 +691,7 @@ class MultiCoreHierarchyState:
         touched.access(block)
         self.l2 = self.l2.join(touched)
         l1.access(block)
-        self._enforce_inclusion(core)
+        _restore_inclusion(self.l1s, self.l2, checked, self.exclusive)
         hi = self.l2_latency if l2_class == HIT else self.memory_latency
         return LatencyInterval(self.l1_latency, hi)
 
@@ -786,13 +805,7 @@ class MultiCoreHierarchyState:
             set(self.exclusive.items()) | set(other.exclusive.items())
         ) - set(joined.exclusive.items())
         for block, owner in sorted(uncertain):
-            l1 = joined.l1s[owner]
-            s = l1.geometry.set_of(block)
-            must = l1._must.get(s)
-            if must is not None:
-                must.pop(block, None)
-                if not must:
-                    del l1._must[s]
+            joined.l1s[owner].demote(block)
         return joined
 
     def leq(self, other: "MultiCoreHierarchyState") -> bool:

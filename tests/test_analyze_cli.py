@@ -10,10 +10,13 @@ every pre-existing v1/v2 field byte-identical.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 from repro.__main__ import main
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "analyze_builtin.json"
 
 
 def _run_json(capsys, argv) -> tuple[str, dict]:
@@ -86,3 +89,18 @@ def test_analyze_without_any_target_is_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["analyze"])
     assert "analyze needs .asm paths" in capsys.readouterr().err
+
+
+def test_timing_certify_output_matches_golden(capsys):
+    """``analyze --timing --certify --builtin --json`` is pinned byte for byte.
+
+    The document is the same under any ``PYTHONHASHSEED``.  After an
+    intended change to the analysis output, re-pin it from the repo root::
+
+        PYTHONPATH=src python -m repro analyze --timing --certify --builtin \\
+            --json > tests/golden/analyze_builtin.json
+    """
+    out, _ = _run_json(
+        capsys, ["analyze", "--timing", "--certify", "--builtin", "--json"]
+    )
+    assert out == GOLDEN_PATH.read_text()
