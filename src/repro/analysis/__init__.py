@@ -31,7 +31,6 @@ from repro.analysis.cachemodel import (
     CacheState,
     HierarchyState,
     LatencyInterval,
-    MultiCoreHierarchyState,
 )
 from repro.analysis.cfg import EXIT, BasicBlock, ControlFlowGraph, build_cfg
 from repro.analysis.defense import (
@@ -98,7 +97,6 @@ __all__ = [
     "KNOWN_SECRET_ADDRS",
     "LEAKS",
     "LatencyInterval",
-    "MultiCoreHierarchyState",
     "ProgramAnalysis",
     "SegmentRange",
     "TaintAnalysis",

@@ -33,23 +33,20 @@ transfer and by ``join`` (``tests/test_cachemodel.py`` exercises them):
 * ``must ⊆ may`` (a certainly-present block is possibly present), and
 * ``may[b] <= must[b]`` for shared blocks (bounds bracket the true age).
 
-:class:`HierarchyState` stacks two levels as the simulator does — per-core
-L1D over a shared inclusive L2 — composes hit/miss classifications into
-the three latency classes of :mod:`repro.mem.cache` (L1 hit, L2 hit,
-memory), and enforces inclusion: a block can only stay in L1-must while it
-is in L2-must, because an L2 eviction back-invalidates L1 copies.
-
-:class:`HierarchyState` covers single-core demand traffic (loads,
-write-allocating stores, software prefetches, clflush).
-:class:`MultiCoreHierarchyState` extends the same domain to the
-multi-core machine the attack scenarios run: one private L1D
-:class:`CacheState` per core over the shared inclusive L2, with the
-write-invalidate and prefetchw-exclusivity coherence steps of
-:class:`repro.mem.hierarchy.MemoryHierarchy` mirrored as abstract
-transfers.  Hardware prefetcher fills are still not modelled concretely —
-the scenario certifier (:mod:`repro.analysis.scenario`) walks the
-undefended machine and applies each defense as an abstract havoc
-transformer (:mod:`repro.analysis.defense`) instead.
+:class:`HierarchyState` stacks two levels as the simulator does — one
+private L1D :class:`CacheState` per core over a shared inclusive L2 —
+composes hit/miss classifications into the three latency classes of
+:mod:`repro.mem.cache` (L1 hit, L2 hit, memory), and enforces inclusion: a
+block can only stay in an L1's must side while it is in L2-must, because
+an L2 eviction back-invalidates every L1 copy.  It covers demand traffic
+(loads, write-allocating stores, software prefetches, clflush) and mirrors
+the write-invalidate and prefetchw-exclusivity coherence steps of
+:class:`repro.mem.hierarchy.MemoryHierarchy` as abstract transfers.  The
+timing verifier (:mod:`repro.analysis.timing`) runs it with one core; the
+scenario certifier (:mod:`repro.analysis.scenario`) with one core per
+program.  Hardware prefetcher fills are not modelled concretely — the
+certifier walks the undefended machine and applies each defense as an
+abstract havoc transformer (:mod:`repro.analysis.defense`) instead.
 """
 
 from __future__ import annotations
@@ -399,216 +396,32 @@ def _restore_inclusion(
 
 
 class HierarchyState:
-    """Two-level abstract hierarchy: private L1D over shared inclusive L2.
-
-    Mirrors :class:`repro.mem.hierarchy.MemoryHierarchy`'s demand timing
-    for a single core: L1 hit pays ``l1_hit_latency``; an L1 miss adds the
-    L2 outcome (``l2_hit_latency`` or ``memory_latency``); stores are
-    write-allocating and (with ``nonblocking_stores``) cost one cycle;
-    ``clflush`` always costs ``flush_latency``; a software prefetch costs
-    like a load but may be dropped at L1-miss time (MSHR pressure), which
-    only widens its interval.
-    """
-
-    __slots__ = ("config", "l1", "l2", "block_bits")
-
-    def __init__(
-        self,
-        config: HierarchyConfig | None = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-    ) -> None:
-        self.config = config or HierarchyConfig()
-        self.l1 = CacheState(
-            _level_geometry(
-                self.config.l1d_size, self.config.l1d_assoc, block_size
-            )
-        )
-        self.l2 = CacheState(
-            _level_geometry(
-                self.config.l2_size, self.config.l2_assoc, block_size
-            )
-        )
-        self.block_bits = block_size.bit_length() - 1
-
-    # -- latency classes -------------------------------------------------------
-
-    @property
-    def l1_latency(self) -> int:
-        return self.config.l1_hit_latency
-
-    @property
-    def l2_latency(self) -> int:
-        return self.config.l1_hit_latency + self.config.l2_hit_latency
-
-    @property
-    def memory_latency(self) -> int:
-        return (
-            self.config.l1_hit_latency
-            + self.config.l2_hit_latency
-            + self.config.memory_latency
-        )
-
-    def block_of(self, addr: int) -> int:
-        return addr >> self.block_bits
-
-    # -- internal helpers ------------------------------------------------------
-
-    def _fill_interval(self, block: int) -> LatencyInterval:
-        """Latency of a demand access classified against both levels.
-
-        Mutates both levels exactly as the simulator's demand path does:
-        the L1 is always accessed; the L2 is accessed only when the L1
-        misses (joined when the L1 outcome is unknown).
-        """
-        l1_class = self.l1.classify(block)
-        if l1_class == HIT:
-            self.l1.access(block)
-            return LatencyInterval(self.l1_latency, self.l1_latency)
-        l2_class = self.l2.classify(block)
-        checked = [block, *self.l2.set_blocks(block)]
-        if l1_class == MISS:
-            self.l2.access(block)
-            self.l1.access(block)
-            _restore_inclusion((self.l1,), self.l2, checked)
-            if l2_class == HIT:
-                return LatencyInterval(self.l2_latency, self.l2_latency)
-            if l2_class == MISS:
-                return LatencyInterval(self.memory_latency, self.memory_latency)
-            return LatencyInterval(self.l2_latency, self.memory_latency)
-        # Unknown at L1: the L2 may or may not see the access.
-        touched = self.l2.copy()
-        touched.access(block)
-        self.l2 = self.l2.join(touched)
-        self.l1.access(block)
-        _restore_inclusion((self.l1,), self.l2, checked)
-        hi = self.l2_latency if l2_class == HIT else self.memory_latency
-        return LatencyInterval(self.l1_latency, hi)
-
-    def _havoc_interval(self) -> LatencyInterval:
-        """Latency bounds for an access whose address never resolved."""
-        if self.l1.any_hit_possible():
-            lo = self.l1_latency
-        elif self.l2.any_hit_possible():
-            lo = self.l2_latency
-        else:
-            lo = self.memory_latency
-        self.l1.havoc_access()
-        self.l2.havoc_access()
-        # The L2 havoc ages every set, so every block the L1 tracks is
-        # checked; the L1's may side is now universal and tracks none.
-        _restore_inclusion((self.l1,), self.l2, self.l1.must_blocks())
-        return LatencyInterval(lo, self.memory_latency)
-
-    # -- demand interface ------------------------------------------------------
-
-    def load(self, addr: int | None) -> LatencyInterval:
-        """Demand load of ``addr`` (``None`` = statically unresolved)."""
-        if addr is None:
-            return self._havoc_interval()
-        return self._fill_interval(self.block_of(addr))
-
-    def store(self, addr: int | None) -> LatencyInterval:
-        """Demand store: write-allocates like a load; cheap when nonblocking."""
-        if addr is None:
-            fill = self._havoc_interval()
-        else:
-            fill = self._fill_interval(self.block_of(addr))
-        if self.config.nonblocking_stores:
-            return LatencyInterval(1, 1)
-        return fill
-
-    def prefetch(self, addr: int | None) -> LatencyInterval:
-        """Software prefetch: load-shaped latency, droppable on an L1 miss."""
-        if addr is None:
-            interval = self._havoc_interval()
-            return LatencyInterval(self.l1_latency, interval.hi)
-        block = self.block_of(addr)
-        if self.l1.classify(block) == HIT:
-            self.l1.access(block)
-            return LatencyInterval(self.l1_latency, self.l1_latency)
-        untouched_l1 = self.l1.copy()
-        untouched_l2 = self.l2.copy()
-        filled = self._fill_interval(block)
-        self.l1 = self.l1.join(untouched_l1)
-        self.l2 = self.l2.join(untouched_l2)
-        return LatencyInterval(self.l1_latency, filled.hi)
-
-    def flush(self, addr: int | None) -> LatencyInterval:
-        """clflush: evict the line everywhere; constant latency."""
-        if addr is None:
-            self.l1.havoc_flush()
-            self.l2.havoc_flush()
-        else:
-            block = self.block_of(addr)
-            self.l1.flush(block)
-            self.l2.flush(block)
-        latency = self.config.flush_latency
-        return LatencyInterval(latency, latency)
-
-    # -- lattice operations ----------------------------------------------------
-
-    def copy(self) -> "HierarchyState":
-        dup = HierarchyState.__new__(HierarchyState)
-        dup.config = self.config
-        dup.l1 = self.l1.copy()
-        dup.l2 = self.l2.copy()
-        dup.block_bits = self.block_bits
-        return dup
-
-    def join(self, other: "HierarchyState") -> "HierarchyState":
-        joined = HierarchyState.__new__(HierarchyState)
-        joined.config = self.config
-        joined.l1 = self.l1.join(other.l1)
-        joined.l2 = self.l2.join(other.l2)
-        joined.block_bits = self.block_bits
-        return joined
-
-    def leq(self, other: "HierarchyState") -> bool:
-        return self.l1.leq(other.l1) and self.l2.leq(other.l2)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HierarchyState):
-            return NotImplemented
-        return (
-            self.config == other.config
-            and self.l1 == other.l1
-            and self.l2 == other.l2
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - mutable, not hashed
-        raise TypeError("HierarchyState is mutable and unhashable")
-
-
-class MultiCoreHierarchyState:
     """N private L1D states over one shared inclusive L2, with coherence.
 
     The abstract counterpart of :class:`repro.mem.hierarchy.MemoryHierarchy`
-    for ``num_cores`` cores, mirroring its coherence steps as transfers on
-    the must/may domain:
+    for ``num_cores`` cores.  An L1 hit pays ``l1_hit_latency``; an L1 miss
+    adds the L2 outcome (``l2_hit_latency`` or ``memory_latency``).  The
+    coherence steps are mirrored as transfers on the must/may domain:
 
     * a demand access by one core to a line another core holds
       *exclusively* (after ``prefetchw``) steals it: the owner's L1 copy
       is invalidated and the exclusivity record dropped;
-    * a store invalidates the line in every other core's L1
-      (write-invalidate) and costs one cycle under ``nonblocking_stores``;
+    * a store write-allocates like a load, invalidates the line in every
+      other core's L1 (write-invalidate) and costs one cycle under
+      ``nonblocking_stores``;
     * ``prefetchw`` invalidates other copies (paying
       ``prefetchw_snoop_latency`` when one existed) and records the
       issuing core as exclusive owner;
     * an L2 eviction back-invalidates the line in every core's L1 and
       drops its ownership record;
-    * ``clflush`` evicts the line from every cache, everywhere.
+    * ``clflush`` evicts the line from every cache, everywhere, and always
+      costs ``flush_latency``.
 
-    Software prefetches are modelled as *completing* fills: the concrete
-    hierarchy drops a prefetch only when the line is absent from L1 *and*
-    no prefetch MSHR is free, and a blocking core pays the full fill
-    latency before issuing its next access, so the MSHR is always free
-    again by then.  The scenario walker's differential oracle
-    (``tests/test_certify_oracle.py``) pins this assumption against the
-    simulator.
-
-    Unlike :class:`HierarchyState`, all addresses must be resolved: the
-    product walker gives up (verdict ``UNKNOWN``) before ever issuing an
-    unresolved access, so no havoc-on-unknown-address path exists here.
+    ``addr=None`` is an access whose address the analysis could not
+    resolve: it havocs the accessing core's L1 and the L2.  For loads,
+    stores and prefetches that path is single-core, because it models no
+    steal or write-invalidate; the scenario product walker raises
+    ``_Unresolved`` before it would ever issue one.
     """
 
     __slots__ = ("config", "num_cores", "l1s", "l2", "exclusive", "block_bits")
@@ -616,7 +429,7 @@ class MultiCoreHierarchyState:
     def __init__(
         self,
         config: HierarchyConfig | None = None,
-        num_cores: int = 2,
+        num_cores: int = 1,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> None:
         if num_cores < 1:
@@ -670,7 +483,12 @@ class MultiCoreHierarchyState:
         del self.exclusive[block]
 
     def _fill_interval(self, core: int, block: int) -> LatencyInterval:
-        """Demand-fill latency for ``core``; mirrors HierarchyState's."""
+        """Latency of ``core``'s demand access classified against both levels.
+
+        Mutates both levels exactly as the simulator's demand path does:
+        the L1 is always accessed; the L2 is accessed only when the L1
+        misses (joined when the L1 outcome is unknown).
+        """
         l1 = self.l1s[core]
         l1_class = l1.classify(block)
         if l1_class == HIT:
@@ -687,6 +505,7 @@ class MultiCoreHierarchyState:
             if l2_class == MISS:
                 return LatencyInterval(self.memory_latency, self.memory_latency)
             return LatencyInterval(self.l2_latency, self.memory_latency)
+        # Unknown at L1: the L2 may or may not see the access.
         touched = self.l2.copy()
         touched.access(block)
         self.l2 = self.l2.join(touched)
@@ -695,37 +514,79 @@ class MultiCoreHierarchyState:
         hi = self.l2_latency if l2_class == HIT else self.memory_latency
         return LatencyInterval(self.l1_latency, hi)
 
+    def _havoc_interval(self, core: int) -> LatencyInterval:
+        """Latency bounds for a (single-core) access that never resolved."""
+        l1 = self.l1s[core]
+        if l1.any_hit_possible():
+            lo = self.l1_latency
+        elif self.l2.any_hit_possible():
+            lo = self.l2_latency
+        else:
+            lo = self.memory_latency
+        l1.havoc_access()
+        self.l2.havoc_access()
+        # The L2 havoc ages every set, so every block the L1 tracks is
+        # checked; the L1's may side is now universal and tracks none.
+        _restore_inclusion(self.l1s, self.l2, l1.must_blocks())
+        return LatencyInterval(lo, self.memory_latency)
+
     # -- demand interface ------------------------------------------------------
 
-    def load(self, core: int, addr: int) -> LatencyInterval:
+    def load(self, core: int, addr: int | None) -> LatencyInterval:
         """Demand load by ``core``: steal exclusivity, then fill."""
+        if addr is None:
+            return self._havoc_interval(core)
         block = self.block_of(addr)
         self._yield_exclusivity(core, block)
         return self._fill_interval(core, block)
 
-    def store(self, core: int, addr: int) -> LatencyInterval:
+    def store(self, core: int, addr: int | None) -> LatencyInterval:
         """Demand store: write-allocate + write-invalidate other L1 copies."""
-        block = self.block_of(addr)
-        self._yield_exclusivity(core, block)
-        fill = self._fill_interval(core, block)
-        for other, l1 in enumerate(self.l1s):
-            if other != core:
-                l1.flush(block)
+        if addr is None:
+            fill = self._havoc_interval(core)
+        else:
+            block = self.block_of(addr)
+            self._yield_exclusivity(core, block)
+            fill = self._fill_interval(core, block)
+            for other, l1 in enumerate(self.l1s):
+                if other != core:
+                    l1.flush(block)
         if self.config.nonblocking_stores:
             return LatencyInterval(1, 1)
         return fill
 
     def prefetch(
-        self, core: int, addr: int, write: bool = False
+        self,
+        core: int,
+        addr: int | None,
+        write: bool = False,
+        *,
+        may_drop: bool = False,
     ) -> LatencyInterval:
-        """Software prefetch / prefetchw, modelled as a completing fill.
+        """Software prefetch / prefetchw: load-shaped latency.
+
+        The simulator drops a prefetch only when the line misses the L1
+        *and* no prefetch MSHR is free.  A blocking core pays the full fill
+        latency before its next access, so the MSHR is free again by then
+        and the prefetch completes: the product walk's case, which
+        ``tests/test_certify_oracle.py`` pins against the simulator.  An
+        OoO core such as ``PERF_CORE`` may issue its next access while the
+        MSHR is still busy; the timing walk passes ``may_drop=True``, and
+        an L1 miss then joins the filled state with the untouched one and
+        widens the interval down to the L1 latency a dropped prefetch pays.
 
         ``prefetchw`` pays the snoop penalty when another core's copy was
         invalidated; when a copy's residency is only *possible* the
         penalty widens the upper bound instead (the walker then gives up,
         keeping the verdict sound).
         """
+        if addr is None:
+            interval = self._havoc_interval(core)
+            return LatencyInterval(self.l1_latency, interval.hi)
         block = self.block_of(addr)
+        untouched: HierarchyState | None = None
+        if may_drop and self.l1s[core].classify(block) != HIT:
+            untouched = self.copy()
         snoop_lo = snoop_hi = 0
         if write:
             penalty = self.config.prefetchw_snoop_latency
@@ -743,15 +604,27 @@ class MultiCoreHierarchyState:
         else:
             self._yield_exclusivity(core, block)
         fill = self._fill_interval(core, block)
+        if untouched is not None:
+            # A dropped prefetch leaves no fill and no ownership change.
+            joined = self.join(untouched)
+            self.l1s, self.l2, self.exclusive = (
+                joined.l1s, joined.l2, joined.exclusive
+            )
+            return LatencyInterval(self.l1_latency, fill.hi + snoop_hi)
         return LatencyInterval(fill.lo + snoop_lo, fill.hi + snoop_hi)
 
-    def flush(self, core: int, addr: int) -> LatencyInterval:
+    def flush(self, core: int, addr: int | None) -> LatencyInterval:
         """clflush: evict the line from every cache level, everywhere."""
-        block = self.block_of(addr)
-        self.exclusive.pop(block, None)
-        for l1 in self.l1s:
-            l1.flush(block)
-        self.l2.flush(block)
+        if addr is None:
+            for l1 in self.l1s:
+                l1.havoc_flush()
+            self.l2.havoc_flush()
+        else:
+            block = self.block_of(addr)
+            self.exclusive.pop(block, None)
+            for l1 in self.l1s:
+                l1.flush(block)
+            self.l2.flush(block)
         latency = self.config.flush_latency
         return LatencyInterval(latency, latency)
 
@@ -768,17 +641,17 @@ class MultiCoreHierarchyState:
 
     # -- lattice operations ----------------------------------------------------
 
-    def copy(self) -> "MultiCoreHierarchyState":
-        dup = MultiCoreHierarchyState.__new__(MultiCoreHierarchyState)
+    def copy(self) -> "HierarchyState":
+        dup = HierarchyState.__new__(HierarchyState)
         dup.config = self.config
         dup.num_cores = self.num_cores
-        dup.l1s = tuple(l1.copy() for l1 in self.l1s)
+        dup.l1s = tuple(map(CacheState.copy, self.l1s))
         dup.l2 = self.l2.copy()
         dup.exclusive = dict(self.exclusive)
         dup.block_bits = self.block_bits
         return dup
 
-    def join(self, other: "MultiCoreHierarchyState") -> "MultiCoreHierarchyState":
+    def join(self, other: "HierarchyState") -> "HierarchyState":
         """Least upper bound over both cache states and ownership records.
 
         Ownership kept only where both sides agree; a record present on
@@ -789,12 +662,10 @@ class MultiCoreHierarchyState:
         """
         if self.num_cores != other.num_cores:
             raise ValueError("cannot join states with different core counts")
-        joined = MultiCoreHierarchyState.__new__(MultiCoreHierarchyState)
+        joined = HierarchyState.__new__(HierarchyState)
         joined.config = self.config
         joined.num_cores = self.num_cores
-        joined.l1s = tuple(
-            a.join(b) for a, b in zip(self.l1s, other.l1s)
-        )
+        joined.l1s = tuple(map(CacheState.join, self.l1s, other.l1s))
         joined.l2 = self.l2.join(other.l2)
         joined.block_bits = self.block_bits
         joined.exclusive = {}
@@ -808,7 +679,7 @@ class MultiCoreHierarchyState:
             joined.l1s[owner].demote(block)
         return joined
 
-    def leq(self, other: "MultiCoreHierarchyState") -> bool:
+    def leq(self, other: "HierarchyState") -> bool:
         return (
             self.num_cores == other.num_cores
             and self.exclusive == other.exclusive
@@ -817,7 +688,7 @@ class MultiCoreHierarchyState:
         )
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiCoreHierarchyState):
+        if not isinstance(other, HierarchyState):
             return NotImplemented
         return (
             self.config == other.config
@@ -828,4 +699,15 @@ class MultiCoreHierarchyState:
         )
 
     def __hash__(self) -> int:  # pragma: no cover - mutable, not hashed
-        raise TypeError("MultiCoreHierarchyState is mutable and unhashable")
+        raise TypeError("HierarchyState is mutable and unhashable")
+
+
+class MultiCoreHierarchyState(HierarchyState):
+    """Former name of the multi-core model, kept for the perfbench tracer.
+
+    ``perfbench/spans.py`` wraps the transfer methods of this class and of
+    :class:`HierarchyState` by name.  The subclass defines no method of its
+    own, so the tracer wraps each transfer once.  Use :class:`HierarchyState`.
+    """
+
+    __slots__ = ()

@@ -7,11 +7,11 @@ destroying the attacker's observation.  Three layers:
 
 * **Product walk** — the attacker and victim CFGs execute as an
   interleaved product over one shared
-  :class:`~repro.analysis.cachemodel.MultiCoreHierarchyState` and one
-  shared memory image, mirroring :meth:`repro.cpu.system.System.run_steps`
-  exactly: at every step the non-halted core with the smallest local time
-  executes one instruction (strict ``<`` keeps the lower-index core on
-  ties), with :func:`repro.analysis.timing._walk`'s per-instruction
+  :class:`~repro.analysis.cachemodel.HierarchyState` (one core per
+  program) and one shared memory image, mirroring
+  :meth:`repro.cpu.system.System.run_steps` exactly: at every step the
+  non-halted core with the smallest local time executes one instruction
+  (strict ``<`` keeps the lower-index core on ties), with :func:`repro.analysis.timing._walk`'s per-instruction
   semantics (rdcycle, the serialising flag, countdown-loop fusion, the
   OoO hide window).  Under exact times the scheduler's schedule set is a
   *singleton*, so the sound interleaving join over producible schedule
@@ -41,7 +41,7 @@ grid reproduces PR 5's ``1.00 -> 0.00`` PREFENDER result without running
 a single simulation.
 
 Scope notes.  Software prefetches are modelled as completing fills (see
-:class:`~repro.analysis.cachemodel.MultiCoreHierarchyState`); speculative
+:meth:`~repro.analysis.cachemodel.HierarchyState.prefetch`); speculative
 victims and whole-run timing channels (Evict+Time) are out of scope and
 certify as ``UNKNOWN``.
 """
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.analysis.cachemodel import MultiCoreHierarchyState
+from repro.analysis.cachemodel import HierarchyState
 from repro.analysis.dataflow import _transfer
 from repro.analysis.defense import (
     COVERAGE_CERTAIN,
@@ -66,12 +66,12 @@ from repro.analysis.taint import _branch_taken
 from repro.analysis.timing import (
     DEFAULT_WALK_STEPS,
     _charged,
+    _fused_iterations,
     _initial_memory,
     _walk,
 )
 from repro.cpu.core import CoreConfig
 from repro.isa.decode import (
-    K_ADD_RI,
     K_BRANCH,
     K_CLFLUSH,
     K_FENCE,
@@ -196,7 +196,7 @@ class _CoreWalk:
 
     def step(
         self,
-        shared: MultiCoreHierarchyState,
+        shared: HierarchyState,
         memory: dict[int, int],
         config: CoreConfig,
         fuse: bool,
@@ -259,31 +259,15 @@ class _CoreWalk:
             self.time += branch_cost
             index = self.pc
             self.pc = target if taken else self.pc + 1
-            if (
-                fuse
-                and taken
-                and target == index - 1
-                and cond == 1
-                and rs1 == ZERO_REGISTER
-                and rs0 != ZERO_REGISTER
-            ):
-                prev = self.decoded[index - 1]
-                value = self.regs.get(rs0)
-                if (
-                    value is not None
-                    and prev[0] == K_ADD_RI
-                    and prev[1] == rs0
-                    and prev[2] == rs0
-                    and prev[3] == WORD_MASK
-                ):
-                    # Countdown fusion is schedule-safe: the fused window
-                    # executes only register arithmetic (no memory or
-                    # cache effects), so the other core's interleaved
-                    # events observe identical shared state.
-                    m = value - 1
-                    if m > 0:
-                        self.regs[rs0] = 1
-                        self.time += m * (base + branch_cost)
+            if fuse and taken and target == index - 1:
+                # Countdown fusion is schedule-safe: the fused window
+                # executes only register arithmetic (no memory or cache
+                # effects), so the other core's interleaved events observe
+                # identical shared state.
+                skipped = _fused_iterations(self.decoded, index, self.regs)
+                if skipped:
+                    self.regs[rs0] = 1
+                    self.time += skipped * (base + branch_cost)
         elif kind == K_JMP:
             target = tup[1]
             if not isinstance(target, int) or not 0 <= target < self.n:
@@ -340,7 +324,7 @@ def _product_walk(
     ``<`` keeping the lower-index core on ties.  Raises :class:`_Unresolved`
     on any precision loss or step exhaustion.
     """
-    shared = MultiCoreHierarchyState(hconfig, num_cores=len(programs))
+    shared = HierarchyState(hconfig, num_cores=len(programs))
     memory = _merged_memory(programs)
     fuse = config.fuse_countdown_loops and not config.speculative_execution
     cores = [

@@ -135,13 +135,13 @@ def _cache_effect(
 ) -> LatencyInterval | None:
     """Apply one access to the abstract hierarchy; ``None`` for non-accesses."""
     if kind == K_LOAD:
-        return state.load(addr)
+        return state.load(0, addr)
     if kind == K_STORE:
-        return state.store(addr)
+        return state.store(0, addr)
     if kind == K_PREFETCH:
-        return state.prefetch(addr)
+        return state.prefetch(0, addr, may_drop=True)
     if kind == K_CLFLUSH:
-        return state.flush(addr)
+        return state.flush(0, addr)
     return None
 
 
@@ -421,16 +421,6 @@ class _WalkOutcome:
         return CycleInterval(self.lo, self.hi)
 
 
-def _observable(state: HierarchyState) -> tuple[Any, ...]:
-    """Attacker-observable residency: must/may block sets of both levels."""
-    return (
-        state.l1.must_blocks(),
-        state.l1.may_blocks(),
-        state.l2.must_blocks(),
-        state.l2.may_blocks(),
-    )
-
-
 def _initial_memory(
     program: Any, bindings: Mapping[int, int]
 ) -> dict[int, int | None]:
@@ -446,6 +436,36 @@ def _initial_memory(
     for address, value in bindings.items():
         memory[address] = value & WORD_MASK
     return memory
+
+
+def _fused_iterations(
+    decoded: Decoded, index: int, regs: Mapping[int, int]
+) -> int:
+    """Iterations countdown-loop fusion skips after a taken branch.
+
+    Called after the branch at ``index`` jumped back to ``index - 1``, by
+    both this module's walk and the scenario product walk.  Mirrors
+    :meth:`repro.cpu.core.Core._fuse_countdown`: when the branch is
+    ``bne rX, zero`` and the instruction it jumps to is exactly
+    ``sub rX, rX, 1`` with ``rX`` known, every iteration but the exiting
+    one is skipped; the caller sets ``rX`` to 1 and charges
+    ``base_cost + branch_cost`` per skipped iteration.  Returns 0 when the
+    loop does not qualify.
+    """
+    _, cond, rs0, rs1, _target = decoded[index]
+    if cond != 1 or rs1 != ZERO_REGISTER or rs0 == ZERO_REGISTER:
+        return 0
+    prev = decoded[index - 1]
+    value = regs.get(rs0)
+    if (
+        value is None
+        or prev[0] != K_ADD_RI
+        or prev[1] != rs0
+        or prev[2] != rs0
+        or prev[3] != WORD_MASK
+    ):
+        return 0
+    return max(value - 1, 0)
 
 
 def _walk(
@@ -492,7 +512,7 @@ def _walk(
             _, rd, rs0, imm, _pc = tup
             bval = reg(rs0)
             addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.load(addr)
+            interval = hierarchy.load(0, addr)
             lo, hi = _charged(interval, config, serialized)
             serialized = False
             time_lo += lo
@@ -508,13 +528,13 @@ def _walk(
                 else:
                     state[rd] = value & WORD_MASK
             if pc in watch:
-                snapshots.append((pc, _observable(hierarchy)))
+                snapshots.append((pc, hierarchy.observable(0)))
             pc += 1
         elif kind == K_STORE:
             _, rs0, rs1, imm, _pc = tup
             bval = reg(rs1)
             addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.store(addr)
+            interval = hierarchy.store(0, addr)
             time_lo += interval.lo
             time_hi += interval.hi
             if addr is None:
@@ -522,29 +542,29 @@ def _walk(
             else:
                 memory[addr] = reg(rs0)
             if pc in watch:
-                snapshots.append((pc, _observable(hierarchy)))
+                snapshots.append((pc, hierarchy.observable(0)))
             pc += 1
         elif kind == K_CLFLUSH:
             _, rs0, imm = tup
             bval = reg(rs0)
             addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.flush(addr)
+            interval = hierarchy.flush(0, addr)
             time_lo += interval.lo
             time_hi += interval.hi
             if pc in watch:
-                snapshots.append((pc, _observable(hierarchy)))
+                snapshots.append((pc, hierarchy.observable(0)))
             pc += 1
         elif kind == K_PREFETCH:
             _, rs0, imm, _write = tup
             bval = reg(rs0)
             addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.prefetch(addr)
+            interval = hierarchy.prefetch(0, addr, may_drop=True)
             lo, hi = _charged(interval, config, serialized)
             serialized = False
             time_lo += lo
             time_hi += hi
             if pc in watch:
-                snapshots.append((pc, _observable(hierarchy)))
+                snapshots.append((pc, hierarchy.observable(0)))
             pc += 1
         elif kind == K_BRANCH:
             _, cond, rs0, rs1, target = tup
@@ -562,22 +582,13 @@ def _walk(
             time_hi += branch_cost
             index = pc
             pc = target if taken else pc + 1
-            if fuse and taken and target == index - 1 and cond == 1 and rs1 == ZERO_REGISTER and rs0 != ZERO_REGISTER:
-                prev = decoded[index - 1]
-                value = state.get(rs0)
-                if (
-                    value is not None
-                    and prev[0] == K_ADD_RI
-                    and prev[1] == rs0
-                    and prev[2] == rs0
-                    and prev[3] == WORD_MASK
-                ):
-                    m = value - 1
-                    if m > 0:
-                        state[rs0] = 1
-                        jump = m * (base + branch_cost)
-                        time_lo += jump
-                        time_hi += jump
+            if fuse and taken and target == index - 1:
+                skipped = _fused_iterations(decoded, index, state)
+                if skipped:
+                    state[rs0] = 1
+                    jump = skipped * (base + branch_cost)
+                    time_lo += jump
+                    time_hi += jump
         elif kind == K_JMP:
             target = tup[1]
             if not isinstance(target, int) or not 0 <= target < n:
@@ -689,7 +700,7 @@ def _walk_observable(
     if outcome.snapshots:
         return outcome.snapshots[-1]
     if outcome.final is not None:
-        return (None, _observable(outcome.final))
+        return (None, outcome.final.observable(0))
     return None
 
 

@@ -13,10 +13,11 @@ Keys are content hashes over *every* configuration dataclass field (see
 :mod:`repro.runner.job`), so two jobs differing in any knob — however
 obscure — never share a result.
 
-Sweeps that submit many batches in a row (the ``frontier`` command) keep
-one :class:`WorkerPool` open and pass it to every ``run_batch`` call, so
-worker processes are forked once and reused instead of being respawned per
-batch:
+With ``workers > 1`` each call forks a :class:`WorkerPool` of its own and
+closes it on return.  Sweeps that submit many batches in a row (the
+``frontier`` command) keep one pool open and pass it to every
+``run_batch`` call, so worker processes are forked once and reused instead
+of being respawned per batch:
 
     with WorkerPool(workers=4) as pool:
         first = run_batch(jobs_a, pool=pool)

@@ -2,22 +2,16 @@
 
 ``run_batch`` takes the *full* grid of jobs an experiment declares up
 front, deduplicates them by content key, satisfies what it can from the
-optional disk store, and shards the rest across worker processes.
-Results always come back in input order, so a parallel table regeneration
-is byte-identical to a sequential one.
-
-Two execution backends share that contract:
-
-* default — a throwaway ``ProcessPoolExecutor`` per call, right for a
-  single large batch (``python -m repro table 4 --jobs 4``);
-* ``pool=`` — a caller-owned :class:`~repro.runner.pool.WorkerPool` whose
-  warm workers are reused across *successive* ``run_batch`` calls, right
-  for sweeps that submit many batches (``python -m repro frontier``).
+optional disk store, and shards the rest across the worker processes of a
+:class:`~repro.runner.pool.WorkerPool`: one opened and closed inside the
+call (``python -m repro table 4 --jobs 4``), or a caller-owned pool whose
+warm workers are reused across successive calls (``python -m repro
+frontier``).  Results always come back in input order, so a parallel table
+regeneration is byte-identical to a sequential one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Iterable
 
 from repro.errors import ConfigError
@@ -53,7 +47,7 @@ def run_batch(
             after, for ``cacheable`` jobs only.
         pool: optional persistent :class:`~repro.runner.pool.WorkerPool`;
             its warm workers execute the batch (and stay alive for the
-            caller's next batch) instead of a freshly forked executor.
+            caller's next batch) instead of a pool forked for this call.
         reuse_snapshots: serve eligible ``ScenarioJob`` trials off one
             warmed system snapshot per (attack, victim, defense) cell
             (:mod:`repro.attacks.replay`) instead of rebuilding the system
@@ -92,14 +86,14 @@ def run_batch(
     target_tasks = pool.workers if pool is not None else workers
     units = _plan_units(pending, reuse_snapshots, target_tasks)
 
+    runnables = [runnable for _, runnable, _ in units]
     if pool is not None:
-        outputs = pool.run([runnable for _, runnable, _ in units])
+        outputs = pool.run(runnables)
     elif workers == 1 or len(units) <= 1:
-        outputs = [runnable.run() for _, runnable, _ in units]
+        outputs = [runnable.run() for runnable in runnables]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(units))) as ppe:
-            futures = [ppe.submit(_execute, runnable) for _, runnable, _ in units]
-            outputs = [future.result() for future in futures]
+        with WorkerPool(min(workers, len(units))) as call_pool:
+            outputs = call_pool.run(runnables)
 
     for (unit_keys, _, is_group), output in zip(units, outputs):
         if is_group:
@@ -171,8 +165,3 @@ def _split_groups(
         middle = len(largest) // 2
         groups.extend([largest[:middle], largest[middle:]])
     return groups
-
-
-def _execute(job: Any) -> Any:
-    """Module-level trampoline so jobs pickle cleanly into pool workers."""
-    return job.run()

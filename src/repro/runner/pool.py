@@ -1,13 +1,15 @@
-"""Persistent warm worker pool for repeated simulation batches.
+"""Persistent warm worker pool for simulation batches.
 
-:func:`~repro.runner.executor.run_batch` normally shards a batch across a
-throwaway ``ProcessPoolExecutor`` — fine for one big table, wasteful for a
-frontier sweep that submits many small batches in a row, where each batch
-pays full pool fork/startup cost again.  A :class:`WorkerPool` keeps a
-fixed set of worker processes alive across batches: jobs travel to workers
-over a task queue, results come back over a result queue tagged with their
-submission index, so every batch returns results in input order and the
-output stays byte-identical to a sequential run.
+:func:`~repro.runner.executor.run_batch` runs every parallel batch on a
+:class:`WorkerPool`.  Without ``pool=`` it opens one for the call and
+closes it afterwards — fine for one big table, wasteful for a frontier
+sweep that submits many small batches in a row, where each batch would pay
+full fork/startup cost again.  Such a caller keeps one pool open and
+passes it to every call, so a fixed set of worker processes stays alive
+across batches: jobs travel to workers over a task queue, results come
+back over a result queue tagged with their submission index, so every
+batch returns results in input order and the output stays byte-identical
+to a sequential run.
 
 Typical use (the ``frontier`` CLI command does exactly this)::
 
