@@ -14,13 +14,16 @@ choices carry the defense:
 Each sweep declares its full attack grid up front and submits it as one
 :func:`repro.runner.run_batch`; because the batch keys hash *every*
 ``PrefenderConfig`` field, specs differing only in ``at_threshold`` (the
-knob the old experiment memoiser dropped) can never share a result.
+knob the old experiment memoiser dropped) can never share a result.  The
+ST-window case needs per-component prefetch counts from the full
+``RunResult``, so it runs its two attacks directly.
 """
 
 from dataclasses import replace
 
+from repro.attacks import FlushReloadAttack
 from repro.core.config import PrefenderConfig
-from repro.runner import AttackJob, run_batch
+from repro.runner import ScenarioJob, run_batch
 from repro.sim.config import PrefetcherSpec, SystemConfig
 
 
@@ -35,7 +38,7 @@ def test_at_threshold_sweep(benchmark):
 
     def sweep():
         jobs = [
-            AttackJob.build(
+            ScenarioJob.build(
                 "flush-reload",
                 prefender_system(
                     replace(
@@ -49,8 +52,8 @@ def test_at_threshold_sweep(benchmark):
         return dict(zip(thresholds, run_batch(jobs)))
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    for threshold, outcome in results.items():
-        assert outcome.defended, f"threshold {threshold}"
+    for threshold, probe in results.items():
+        assert not probe.succeeded, f"threshold {threshold}"
     # Lower thresholds start prefetching earlier -> at least as many decoys.
     assert len(results[2].candidates) >= len(results[6].candidates) - 8
 
@@ -60,7 +63,7 @@ def test_buffer_count_vs_c3_noise(benchmark):
 
     def sweep():
         jobs = [
-            AttackJob.build(
+            ScenarioJob.build(
                 "flush-reload",
                 prefender_system(PrefenderConfig.at_only().with_buffers(count)),
                 noise_c3=True,
@@ -70,8 +73,8 @@ def test_buffer_count_vs_c3_noise(benchmark):
         return run_batch(jobs)
 
     few, many = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    assert few.attack_succeeded, "8 buffers thrashed by 12 noise PCs"
-    assert many.defended, "32 buffers absorb the noise without RP"
+    assert few.succeeded, "8 buffers thrashed by 12 noise PCs"
+    assert not many.succeeded, "32 buffers absorb the noise without RP"
 
 
 def test_st_scale_window_boundary(benchmark):
@@ -79,21 +82,9 @@ def test_st_scale_window_boundary(benchmark):
 
     def run():
         # scale == 64 == cacheline: ST must stay silent (sc not > cacheline).
-        jobs = [
-            AttackJob.build(
-                "flush-reload",
-                prefender_system(PrefenderConfig.st_only()),
-                secret=20,
-            ),
-            AttackJob.build(
-                "flush-reload",
-                prefender_system(PrefenderConfig.st_only()),
-                secret=20,
-                scale=64,
-                num_indices=64,
-            ),
-        ]
-        outcome, at_64 = run_batch(jobs)
+        system = prefender_system(PrefenderConfig.st_only())
+        outcome = FlushReloadAttack(secret=20).run(system)
+        at_64 = FlushReloadAttack(secret=20, scale=64, num_indices=64).run(system)
         inrange = outcome.run_result.prefetch_counts[0].get("st", 0)
         silent = at_64.run_result.prefetch_counts[0].get("st", 0)
         return inrange, silent

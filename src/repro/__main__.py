@@ -60,7 +60,6 @@ import math
 import sys
 
 from repro.attacks import scenarios
-from repro.attacks.base import verdict_line
 from repro.errors import ConfigError
 from repro.experiments import figure8, frontier, related, table4, table5, table6
 from repro.experiments.common import (
@@ -75,9 +74,8 @@ from repro.runner import (
     ADVERSARIAL_PREFETCH_VARIANTS,
     ATTACK_KINDS,
     DEFAULT_CACHE_DIR,
-    AttackProbe,
-    AttackProbeJob,
     ResultStore,
+    ScenarioJob,
     WorkerPool,
     run_batch,
 )
@@ -170,18 +168,6 @@ def _attack_kinds_for(args: argparse.Namespace) -> list[str]:
     return [name]
 
 
-def _probe_summary(probe: AttackProbe, defense_label: str) -> str:
-    """One verdict line per grid cell, in AttackOutcome.summary's format."""
-    return verdict_line(
-        ATTACK_KINDS[probe.attack].name,
-        probe.challenges,
-        defense_label,
-        probe.succeeded,
-        probe.candidates,
-        probe.secret,
-    )
-
-
 def _cmd_attack(args: argparse.Namespace) -> int:
     kinds = _attack_kinds_for(args)
     defenses = [d.strip() for d in args.defense.split(",") if d.strip()]
@@ -205,14 +191,14 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         overrides["cross_core"] = True
     cells = [(kind, defense) for kind in kinds for defense in defenses]
     jobs = [
-        AttackProbeJob.build(
+        ScenarioJob.build(
             kind, SystemConfig(prefetcher=security_spec(defense)), **overrides
         )
         for kind, defense in cells
     ]
     probes = run_batch(jobs, workers=args.jobs, store=_store_for(args))
     for (_, defense), probe in zip(cells, probes):
-        print(_probe_summary(probe, security_spec(defense).label))
+        print(probe.summary(security_spec(defense).label))
     return 0
 
 

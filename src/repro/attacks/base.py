@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar
 
-from repro.attacks.layout import AttackLayout, AttackOptions
+from repro.attacks.layout import L1_SET_SPAN, AttackLayout, AttackOptions
 from repro.cpu.core import CoreConfig
 from repro.cpu.system import RunResult, System
+from repro.errors import ConfigError
 from repro.isa.program import Program
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import build_system
@@ -98,9 +99,12 @@ class CacheAttack:
     name = "attack"
     hit_threshold = 65
     candidate_is_slow = False
-    # Per-attack option defaults (Prime+Probe monitors 64 distinct L1 sets;
-    # more would alias within the 32KB set span and break even the baseline).
+    # Per-attack option defaults (e.g. Prime+Probe's 48 monitored sets).
     DEFAULT_OPTIONS: ClassVar[dict[str, Any]] = {}
+    # Set-indexed attacks observe one L1 set per index, so index i and
+    # i + L1_SET_SPAN // scale are indistinguishable: their probe array must
+    # fit in one pass over the L1 sets (64 indices at scale 0x200).
+    indexes_l1_sets: ClassVar[bool] = False
 
     def __init__(
         self,
@@ -114,6 +118,12 @@ class CacheAttack:
             options = AttackOptions(**merged)
         elif option_overrides:
             options = replace(options, **option_overrides)
+        if self.indexes_l1_sets and options.num_indices * options.scale > L1_SET_SPAN:
+            raise ConfigError(
+                f"{self.name} observes one L1 set per index, so at most "
+                f"{L1_SET_SPAN // options.scale} indices fit at scale "
+                f"{options.scale:#x}; got {options.num_indices}"
+            )
         self.options = options
         self.layout = layout or AttackLayout()
 

@@ -35,6 +35,7 @@ class EvictTimeAttack(CacheAttack):
     # threshold sits between "no extra miss" and "one extra miss".
     candidate_is_slow = True
     DEFAULT_OPTIONS = {"secret": 37, "num_indices": 48}
+    indexes_l1_sets = True
 
     @property
     def hit_threshold(self) -> int:  # type: ignore[override]

@@ -29,6 +29,7 @@ class PrimeProbeAttack(CacheAttack):
     # groups act as a guard band absorbing the Access Tracker's beyond-array
     # edge prefetches (which would otherwise alias onto monitored sets).
     DEFAULT_OPTIONS = {"secret": 37, "num_indices": 48}
+    indexes_l1_sets = True
 
     def build_programs(self) -> list[Program]:
         layout, options = self.layout, self.options

@@ -17,15 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.attacks.base import verdict_line
 from repro.experiments.common import security_spec
-from repro.runner import (
-    ATTACK_KINDS,
-    ResultStore,
-    ScenarioJob,
-    ScenarioProbe,
-    run_batch,
-)
+from repro.runner import ResultStore, ScenarioJob, ScenarioProbe, run_batch
 from repro.sim.config import SystemConfig
 from repro.utils.textplot import ascii_series
 
@@ -71,17 +64,13 @@ def run(
     for challenge in challenges or list(PANEL_DEFENSES):
         options = CHALLENGE_OPTIONS[challenge]
         for attack_name in attacks or list(ATTACKS):
-            kind = ATTACKS[attack_name]
-            # Attack-class defaults (e.g. Prime+Probe's 48 monitored sets)
-            # merge into the options — and thus into the content key.
-            merged = ATTACK_KINDS[kind](**options).options
             for defense in PANEL_DEFENSES[challenge]:
                 cells.append((attack_name, challenge, defense))
                 grid.append(
-                    ScenarioJob(
-                        attack=kind,
-                        system=SystemConfig(prefetcher=security_spec(defense)),
-                        options=merged,
+                    ScenarioJob.build(
+                        ATTACKS[attack_name],
+                        SystemConfig(prefetcher=security_spec(defense)),
+                        **options,
                     )
                 )
     probes = run_batch(grid, workers=jobs, store=store)
@@ -95,17 +84,6 @@ def run(
             panels.append(panel)
         panel.outcomes[defense] = probe
     return panels
-
-
-def _summary(probe: ScenarioProbe, defense: str) -> str:
-    return verdict_line(
-        ATTACK_KINDS[probe.attack].name,
-        probe.challenges,
-        security_spec(defense).label,
-        probe.succeeded,
-        probe.candidates,
-        probe.secret,
-    )
 
 
 def render(panels: list[Panel]) -> str:
@@ -126,7 +104,8 @@ def render(panels: list[Panel]) -> str:
             )
         )
         for defense, outcome in panel.outcomes.items():
-            lines.append(f"  {defense:>6}: {_summary(outcome, defense)}")
+            summary = outcome.summary(security_spec(defense).label)
+            lines.append(f"  {defense:>6}: {summary}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
 

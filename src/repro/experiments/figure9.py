@@ -4,6 +4,9 @@ Panels (a-c): PREFENDER-ST+AT under C1+C2 — ST contributes a small early
 burst (phase 2), AT a large burst through phase 3.  Panels (d-f): full
 PREFENDER under C1+C2+C3+C4 — RP-guided prefetches dominate phase 3.
 Times are reported in microseconds at the paper's 2GHz clock.
+
+The prefetch timelines live only in the full ``RunResult``, which no
+runner job returns, so each attack runs directly here.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import security_spec
-from repro.runner import AttackJob, run_batch
+from repro.runner import ATTACK_KINDS
 from repro.sim.config import SystemConfig
 from repro.utils.textplot import ascii_series
 
@@ -45,15 +48,14 @@ def _binned(timeline: list[tuple[int, str, int]]) -> dict[str, list[tuple[float,
     return series
 
 
-def run(noisy: bool = False, jobs: int = 1) -> list[TimelinePanel]:
+def run(noisy: bool = False) -> list[TimelinePanel]:
     """Panels a-c (``noisy=False``) or d-f (``noisy=True``)."""
     defense = "FULL" if noisy else "ST+AT"
     options = {"noise_c3": True, "noise_c4": True} if noisy else {}
     system = SystemConfig(prefetcher=security_spec(defense))
-    attack_jobs = [
-        AttackJob.build(kind, system, **options) for kind in ATTACKS.values()
+    outcomes = [
+        ATTACK_KINDS[kind](**options).run(system) for kind in ATTACKS.values()
     ]
-    outcomes = run_batch(attack_jobs, workers=jobs)
     panels = []
     for attack_name, outcome in zip(ATTACKS, outcomes):
         timeline = outcome.run_result.prefetch_timelines[0]

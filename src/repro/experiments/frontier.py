@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from repro.core.config import PrefenderConfig
 from repro.errors import ConfigError
 from repro.experiments.common import BASELINE_SPEC, sim_job
-from repro.runner import AttackProbeJob, ResultStore, WorkerPool, run_batch
+from repro.runner import ResultStore, ScenarioJob, WorkerPool, run_batch
 from repro.sim.config import PrefetcherSpec, SystemConfig
 from repro.utils.tables import render_table
 from repro.utils.textplot import ascii_scatter
@@ -225,7 +225,7 @@ def run(
     # Batch 1: every attack kind against every spec (default blocking core,
     # as in the paper's security runs).
     probe_jobs = [
-        AttackProbeJob.build(attack, SystemConfig(prefetcher=spec))
+        ScenarioJob.build(attack, SystemConfig(prefetcher=spec))
         for _, spec in specs
         for attack in attacks
     ]

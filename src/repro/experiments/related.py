@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import PrefenderConfig
-from repro.runner import AttackJob, run_batch
+from repro.runner import ScenarioJob, run_batch
 from repro.sim.config import PrefetcherSpec, SystemConfig
 
 # Table I (condensed): approach class and reported performance overhead.
@@ -109,30 +109,30 @@ def run(jobs: int = 1) -> list[AblationRow]:
     """Run the verifiable Table II rows (declared as one attack batch)."""
     claims = list(TABLE_II_CLAIMS.items())
     attack_jobs = [
-        AttackJob.build(
+        ScenarioJob.build(
             ATTACKS[attack_name], SystemConfig(prefetcher=_spec(defense))
         )
         for (defense, attack_name, _single), _ in claims
     ]
-    outcomes = run_batch(attack_jobs, workers=jobs)
+    probes = run_batch(attack_jobs, workers=jobs)
     rows = []
-    for ((defense, attack_name, _single), expected), outcome in zip(
-        claims, outcomes
+    for ((defense, attack_name, _single), expected), probe in zip(
+        claims, probes
     ):
         if attack_name == "Evict+Time":
             # "Defended" for a whole-run timing channel means the anomalous
             # round became ambiguous; a single surviving candidate (even if
             # shifted by the defense's own prefetches) is a working channel.
-            defended = len(outcome.candidates) != 1
+            defended = len(probe.candidates) != 1
         else:
-            defended = outcome.defended
+            defended = not probe.succeeded
         rows.append(
             AblationRow(
                 defense=defense,
                 attack=attack_name,
                 expected_defended=expected,
                 observed_defended=defended,
-                candidates=len(outcome.candidates),
+                candidates=len(probe.candidates),
             )
         )
     return rows

@@ -30,9 +30,6 @@ from repro.runner.job import (
     ADVERSARIAL_PREFETCH_VARIANTS,
     ATTACK_KINDS,
     KEY_VERSION,
-    AttackJob,
-    AttackProbe,
-    AttackProbeJob,
     ScenarioJob,
     ScenarioProbe,
     SimJob,
@@ -47,9 +44,6 @@ __all__ = [
     "ADVERSARIAL_PREFETCH_FAMILY",
     "ADVERSARIAL_PREFETCH_VARIANTS",
     "ATTACK_KINDS",
-    "AttackJob",
-    "AttackProbe",
-    "AttackProbeJob",
     "DEFAULT_CACHE_DIR",
     "KEY_VERSION",
     "ResultStore",

@@ -37,8 +37,7 @@ def run_batch(
 
     Args:
         jobs: sequence of :class:`~repro.runner.job.SimJob` /
-            :class:`~repro.runner.job.AttackJob` /
-            :class:`~repro.runner.job.AttackProbeJob` (anything with
+            :class:`~repro.runner.job.ScenarioJob` (anything with
             ``key()``, ``run()`` and a ``cacheable`` flag).  Duplicate keys
             are run once and the result shared.
         workers: process count; ``1`` runs inline (no pool), ``0`` means

@@ -10,25 +10,23 @@ spec, PREFENDER knobs, core timing, hierarchy geometry), so a newly added
 config field participates in the key automatically and can never fall out
 of it again (``tests/test_runner.py`` asserts this field-by-field).
 
-Three job kinds cover everything the experiments run:
+Two job kinds cover everything the experiments run:
 
 * :class:`SimJob` — one workload program on one system config
   (:func:`repro.sim.simulator.run_program`); returns a JSON-serialisable
   :class:`SimResult`, so results can live in the on-disk store.
-* :class:`AttackJob` — one attack (by registry name) against one system
-  config; returns the full :class:`repro.attacks.AttackOutcome` (picklable
-  but not JSON-able, so attack jobs never hit the disk store).
-* :class:`AttackProbeJob` — the same attack run reduced to its verdict
-  (:class:`AttackProbe`: succeeded?, candidate set, cycles).  Probes *are*
-  JSON-able, so frontier sweeps can serve repeat security grids warm from
-  the disk store.
-* :class:`ScenarioJob` — one attack × crypto-victim × defense trial for
-  one secret (:mod:`repro.attacks.scenarios` builds the grids).  Its
+* :class:`ScenarioJob` — one attack (by registry name) against one victim
+  under one system config, for one secret.  The paper's own victim is the
+  ``direct`` one, a single access at index ``secret``; the crypto victims
+  of :mod:`repro.attacks.scenarios` are the others.  Its
   :class:`ScenarioProbe` scores the candidate set against the victim's
   *expected access footprint* (multi-line victims are recovered when the
   attacker isolates exactly those lines) and keeps the raw latencies, so
   the leakage scorer can estimate mutual information.  JSON-able and
-  disk-cacheable.
+  disk-cacheable, so repeated security grids are served warm.
+
+The few callers that need a run's full ``RunResult`` (Fig. 9's prefetch
+timelines) run the attack class directly instead of through a job.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ from repro.attacks import (
     FlushReloadAttack,
     PrimeProbeAttack,
 )
+from repro.attacks.base import verdict_line
 from repro.attacks.layout import AttackOptions
 from repro.cpu.system import RunResult
 from repro.errors import ConfigError
@@ -120,7 +119,7 @@ class SimResult:
 
     Everything the performance tables and figures read; prefetch timelines
     are deliberately excluded (they are large, and the only consumer —
-    Fig. 9 — runs attacks, whose jobs return full outcomes).
+    Fig. 9 — runs its attacks directly for the full ``RunResult``).
     """
 
     cycles: int
@@ -211,153 +210,6 @@ class SimJob:
         return SimResult.from_run(result)
 
 
-@dataclass(frozen=True)
-class AttackJob:
-    """One attack (by registry name) against one system configuration.
-
-    Attributes:
-        attack: key into :data:`ATTACK_KINDS` (e.g. ``"flush-reload"``).
-        system: the defense under attack; ``num_cores`` and speculation
-            settings are adjusted by the attack itself at run time.
-        options: resolved :class:`~repro.attacks.layout.AttackOptions`;
-            ``None`` defers to the attack class's defaults — prefer
-            :meth:`build`, which resolves the merge *into the key*.
-        max_steps: simulation step budget.
-
-    For disk-cacheable attack verdicts, see :class:`AttackProbeJob`.
-    """
-
-    attack: str
-    system: SystemConfig = field(default_factory=SystemConfig)
-    options: AttackOptions | None = None
-    max_steps: int = 20_000_000
-
-    #: AttackOutcomes carry a full RunResult; pool-picklable, not JSON-able.
-    cacheable = False
-
-    def __post_init__(self) -> None:
-        if self.attack not in ATTACK_KINDS:
-            raise ConfigError(
-                f"unknown attack {self.attack!r}; "
-                f"choose from {sorted(ATTACK_KINDS)}"
-            )
-
-    @classmethod
-    def build(
-        cls, attack: str, system: SystemConfig | None = None, **option_overrides: Any
-    ) -> "AttackJob":
-        """Job with the attack class's default options merged in.
-
-        Attack classes carry per-class option defaults (e.g. Prime+Probe's
-        64 monitored sets); instantiating one resolves the merge so the job
-        key reflects the *effective* options.
-        """
-        if attack not in ATTACK_KINDS:
-            raise ConfigError(
-                f"unknown attack {attack!r}; choose from {sorted(ATTACK_KINDS)}"
-            )
-        merged = ATTACK_KINDS[attack](**option_overrides).options
-        return cls(attack=attack, system=system or SystemConfig(), options=merged)
-
-    def key(self) -> str:
-        return job_key(self)
-
-    def run(self) -> AttackOutcome:
-        attack_cls = ATTACK_KINDS[self.attack]
-        attack = attack_cls() if self.options is None else attack_cls(self.options)
-        return attack.run(self.system, max_steps=self.max_steps)
-
-
-@dataclass
-class AttackProbe:
-    """JSON-serialisable verdict of one attack run.
-
-    Everything the frontier needs from an attack — did it uniquely recover
-    the secret, which indices stayed candidates, and how many cycles the
-    run took — without the full (non-JSON-able) ``RunResult`` an
-    :class:`~repro.attacks.AttackOutcome` carries.  Probes therefore
-    qualify for the on-disk :class:`~repro.runner.store.ResultStore`.
-    """
-
-    attack: str
-    challenges: str
-    secret: int
-    succeeded: bool
-    candidates: list[int]
-    cycles: int
-
-    def to_json(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "AttackProbe":
-        return cls(
-            attack=str(data["attack"]),
-            challenges=str(data["challenges"]),
-            secret=int(data["secret"]),
-            succeeded=bool(data["succeeded"]),
-            candidates=[int(index) for index in data["candidates"]],
-            cycles=int(data["cycles"]),
-        )
-
-
-@dataclass(frozen=True)
-class AttackProbeJob:
-    """One attack run reduced to its storable :class:`AttackProbe` verdict.
-
-    Same inputs as :class:`AttackJob` (and a distinct content key — the
-    fingerprint includes the class name), but the result drops the raw
-    ``RunResult``, so frontier-scale security grids can be cached on disk
-    and served warm on the next invocation.
-    """
-
-    attack: str
-    system: SystemConfig = field(default_factory=SystemConfig)
-    options: AttackOptions | None = None
-    max_steps: int = 20_000_000
-
-    #: AttackProbes are JSON round-trippable, so the disk store may keep them.
-    cacheable = True
-
-    def __post_init__(self) -> None:
-        if self.attack not in ATTACK_KINDS:
-            raise ConfigError(
-                f"unknown attack {self.attack!r}; "
-                f"choose from {sorted(ATTACK_KINDS)}"
-            )
-
-    @classmethod
-    def build(
-        cls, attack: str, system: SystemConfig | None = None, **option_overrides: Any
-    ) -> "AttackProbeJob":
-        """Probe job with the attack class's default options merged in.
-
-        Mirrors :meth:`AttackJob.build` so the job key reflects the
-        *effective* options, not just the overrides.
-        """
-        inner = AttackJob.build(attack, system, **option_overrides)
-        return cls(attack=inner.attack, system=inner.system, options=inner.options)
-
-    def key(self) -> str:
-        return job_key(self)
-
-    def run(self) -> AttackProbe:
-        outcome = AttackJob(
-            attack=self.attack,
-            system=self.system,
-            options=self.options,
-            max_steps=self.max_steps,
-        ).run()
-        return AttackProbe(
-            attack=self.attack,
-            challenges=outcome.challenges,
-            secret=outcome.secret,
-            succeeded=outcome.attack_succeeded,
-            candidates=list(outcome.candidates),
-            cycles=outcome.run_result.cycles,
-        )
-
-
 @dataclass
 class ScenarioProbe:
     """JSON-serialisable outcome of one attack × victim × defense trial.
@@ -404,16 +256,34 @@ class ScenarioProbe:
             ],
         )
 
+    def summary(self, defense_label: str) -> str:
+        """One verdict line, in :meth:`AttackOutcome.summary`'s format."""
+        return verdict_line(
+            ATTACK_KINDS[self.attack].name,
+            self.challenges,
+            defense_label,
+            self.succeeded,
+            self.candidates,
+            self.secret,
+        )
+
 
 @dataclass(frozen=True)
 class ScenarioJob:
-    """One attack on one crypto victim for one secret, scored by footprint.
+    """One attack on one victim for one secret, scored by footprint.
 
     The victim name and trial secret live inside ``options`` (both are
     :class:`~repro.attacks.layout.AttackOptions` fields), so the content
     key covers them automatically; prefer :meth:`build`, which resolves
-    the victim's probe-array geometry and the attack's option defaults
-    *into* the key.
+    the attack's option defaults (and a named victim's probe-array
+    geometry) *into* the key.
+
+    Attributes:
+        attack: key into :data:`ATTACK_KINDS` (e.g. ``"flush-reload"``).
+        system: the defense under attack; ``num_cores`` and speculation
+            settings are adjusted by the attack itself at run time.
+        options: resolved :class:`~repro.attacks.layout.AttackOptions`.
+        max_steps: simulation step budget.
     """
 
     attack: str
@@ -421,7 +291,7 @@ class ScenarioJob:
     options: AttackOptions = field(default_factory=AttackOptions)
     max_steps: int = 20_000_000
 
-    #: ScenarioProbes are JSON round-trippable; scenario grids cache warm.
+    #: ScenarioProbes are JSON round-trippable; attack grids cache warm.
     cacheable = True
 
     def __post_init__(self) -> None:
@@ -433,47 +303,43 @@ class ScenarioJob:
 
     @classmethod
     def build(
-        cls,
-        attack: str,
-        victim: str,
-        secret: int,
-        system: SystemConfig | None = None,
-        **option_overrides: Any,
+        cls, attack: str, system: SystemConfig | None = None, **option_overrides: Any
     ) -> "ScenarioJob":
-        """Job with victim geometry and attack defaults resolved in.
+        """Job with the attack class's default options merged in.
 
-        The victim dictates the probe-array size its index map assumes;
-        the attack class's own option defaults fill the rest, exactly as
-        :meth:`AttackJob.build` does.
+        Attack classes carry per-class option defaults (e.g. Prime+Probe's
+        48 monitored sets and secret 37); instantiating one resolves the
+        merge so the job key reflects the *effective* options.  When the
+        overrides name a ``victim``, the probe array is sized to that
+        victim's index map and the secret is checked against its space.
         """
-        from repro.workloads.crypto import get_victim
-
-        descriptor = get_victim(victim)
-        if not 0 <= secret < descriptor.secret_space:
+        if attack not in ATTACK_KINDS:
             raise ConfigError(
-                f"secret {secret} outside victim {victim!r} space "
-                f"0..{descriptor.secret_space - 1}"
+                f"unknown attack {attack!r}; choose from {sorted(ATTACK_KINDS)}"
             )
-        inner = AttackJob.build(
-            attack,
-            system,
-            victim=victim,
-            secret=secret,
-            num_indices=descriptor.num_indices,
-            **option_overrides,
-        )
-        return cls(attack=inner.attack, system=inner.system, options=inner.options)
+        victim = option_overrides.get("victim")
+        if victim is None:
+            options = ATTACK_KINDS[attack](**option_overrides).options
+        else:
+            from repro.workloads.crypto import get_victim
+
+            descriptor = get_victim(victim)
+            options = ATTACK_KINDS[attack](
+                **{**option_overrides, "num_indices": descriptor.num_indices}
+            ).options
+            if not 0 <= options.secret < descriptor.secret_space:
+                raise ConfigError(
+                    f"secret {options.secret} outside victim {victim!r} space "
+                    f"0..{descriptor.secret_space - 1}"
+                )
+        return cls(attack=attack, system=system or SystemConfig(), options=options)
 
     def key(self) -> str:
         return job_key(self)
 
     def run(self) -> ScenarioProbe:
-        outcome = AttackJob(
-            attack=self.attack,
-            system=self.system,
-            options=self.options,
-            max_steps=self.max_steps,
-        ).run()
+        attack = ATTACK_KINDS[self.attack](self.options)
+        outcome = attack.run(self.system, max_steps=self.max_steps)
         return self.probe_from_outcome(outcome)
 
     def probe_from_outcome(self, outcome: AttackOutcome) -> ScenarioProbe:

@@ -2,12 +2,12 @@
 
 One file per job key under ``benchmarks/results/cache/`` (or any directory
 you point a :class:`ResultStore` at).  Each file records the key-schema
-version, the result's type (``SimResult``, ``AttackProbe`` or
-``ScenarioProbe``), the job's
-full fingerprint (so a human can see exactly which configuration produced
-it) and the result payload.  A version bump, an unreadable file, a key
-mismatch or an unknown result type all degrade to a cache miss — the store
-can never serve a result for the wrong config.
+version, the result's type (``SimResult`` for a :class:`SimJob`,
+``ScenarioProbe`` for every attack run), the job's full fingerprint (so a
+human can see exactly which configuration produced it) and the result
+payload.  A version bump, an unreadable file, a key mismatch or an unknown
+result type (such as one an older checkout stored) all degrade to a cache
+miss — the store can never serve a result for the wrong config.
 
 Growth is bounded: pass ``max_bytes`` (``--store-max-mb`` on the CLI) and
 the store evicts least-recently-used entries after every write.  "Used"
@@ -25,13 +25,7 @@ import threading
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.runner.job import (
-    KEY_VERSION,
-    AttackProbe,
-    ScenarioProbe,
-    SimResult,
-    fingerprint,
-)
+from repro.runner.job import KEY_VERSION, ScenarioProbe, SimResult, fingerprint
 
 #: CLI default, relative to the invocation directory (documented in
 #: ``python -m repro --help``); benchmarks/conftest.py creates it.
@@ -40,11 +34,7 @@ DEFAULT_CACHE_DIR = pathlib.Path("benchmarks") / "results" / "cache"
 #: Result payload types the store can round-trip, keyed by the
 #: ``result_kind`` field written into each entry.  Entries from before the
 #: field existed are all SimResults, hence the lookup default in ``get``.
-RESULT_TYPES = {
-    "SimResult": SimResult,
-    "AttackProbe": AttackProbe,
-    "ScenarioProbe": ScenarioProbe,
-}
+RESULT_TYPES = {"SimResult": SimResult, "ScenarioProbe": ScenarioProbe}
 
 
 class ResultStore:

@@ -10,6 +10,7 @@ from repro.attacks import (
     AttackLayout,
     AttackOptions,
     EvictReloadAttack,
+    EvictTimeAttack,
     FlushReloadAttack,
     PrimeProbeAttack,
 )
@@ -70,6 +71,20 @@ def test_prime_probe_defaults():
     attack = PrimeProbeAttack()
     assert attack.options.num_indices == 48
     assert attack.options.secret == 37
+
+
+@pytest.mark.parametrize("attack_cls", [PrimeProbeAttack, EvictTimeAttack])
+def test_set_indexed_attacks_reject_aliasing_probe_arrays(attack_cls):
+    """At scale 0x200, index i and i + 64 share an L1 set, so an attack that
+    observes sets cannot tell them apart: more than 64 indices is refused
+    at construction instead of silently reporting aliased candidates."""
+    assert attack_cls(num_indices=64).options.num_indices == 64
+    with pytest.raises(ConfigError, match="at most 64 indices"):
+        attack_cls(num_indices=96)
+    with pytest.raises(ConfigError):
+        attack_cls(AttackOptions(secret=0, num_indices=96))
+    # Line-indexed attacks probe lines, not sets, and keep the wide array.
+    assert FlushReloadAttack(num_indices=96).options.num_indices == 96
 
 
 def test_flush_reload_baseline_leaks():

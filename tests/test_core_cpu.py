@@ -303,6 +303,49 @@ def test_run_raises_only_with_work_left():
         _tiny_system().run(max_steps=1)
 
 
+def _racing_system():
+    """Three cores that store to one line at equal local times.
+
+    Core ``i`` stores ``i + 1`` to the shared line, loads it back, then
+    spins for the loaded value plus ``2 + 3 * i`` rounds.  The cores halt
+    one after another, and a scheduler that orders the tied stores
+    differently changes what every core loads, and so its timing.
+    """
+    from repro.cpu.system import System
+
+    programs = [
+        assemble(
+            f"""
+            li r1, 0x10000
+            li r2, {core_id + 1}
+            store r2, 0(r1)
+            load r3, 0(r1)
+            add r4, r3, {2 + 3 * core_id}
+            spin:
+            sub r4, r4, 1
+            bne r4, zero, spin
+            halt
+            """
+        )
+        for core_id in range(3)
+    ]
+    return System(programs, MemoryHierarchy(num_cores=3))
+
+
+def test_three_core_scheduler_matches_linear_scan():
+    """``run`` hands three active cores to the heap, then the pair, then
+    the single loop; ``run_steps`` is the per-step min-time scan all three
+    must reproduce, ties to the lower core index."""
+    fast, reference = _racing_system(), _racing_system()
+    result = fast.run()
+    while reference.run_steps(1_000):
+        pass
+    assert all(core.halted for core in reference.cores)
+    assert result.core_cycles == [core.time for core in reference.cores]
+    assert len(set(result.core_cycles)) == 3, "cores must halt at distinct times"
+    assert fast.snapshot() == reference.snapshot()
+
+
 def test_access_buffer_reset_clears_last_touch():
     from repro.core.access_buffer import AccessBuffer
 

@@ -19,9 +19,8 @@ from repro.errors import ConfigError
 from repro.experiments import common, table4
 from repro.mem.hierarchy import HierarchyConfig
 from repro.runner import (
-    AttackJob,
-    AttackProbeJob,
     ResultStore,
+    ScenarioJob,
     SimJob,
     SimResult,
     job_key,
@@ -107,7 +106,7 @@ def test_attack_job_key_covers_every_field():
     system = SystemConfig(
         prefetcher=PrefetcherSpec(kind="prefender", prefender=PrefenderConfig.st_at(8))
     )
-    base = AttackJob.build("flush-reload", system)
+    base = ScenarioJob.build("flush-reload", system)
     base_key = base.key()
     seen_paths = set()
     for path, mutated in _perturbations(base):
@@ -125,13 +124,13 @@ def test_adversarial_prefetch_kinds_get_distinct_keys():
     system = SystemConfig(
         prefetcher=PrefetcherSpec(kind="prefender", prefender=PrefenderConfig.st_at(8))
     )
-    a1 = AttackProbeJob.build("adversarial-prefetch-a1", system)
-    a2 = AttackProbeJob.build("adversarial-prefetch-a2", system)
+    a1 = ScenarioJob.build("adversarial-prefetch-a1", system)
+    a2 = ScenarioJob.build("adversarial-prefetch-a2", system)
     assert a1.key() != a2.key()
     assert a1.options.probe_kind == "load"
     assert a2.options.probe_kind == "prefetch"
     assert a1.options.cross_core and a2.options.cross_core
-    # The family's jobs are probe jobs (JSON-able) so --store covers them.
+    # The family's jobs return JSON-able probes, so --store covers them.
     assert a1.cacheable and a2.cacheable
     # Perturbation walk over an adversarial-prefetch job: every field of the
     # resolved options (including the new probe_kind) lands in the key.
@@ -333,18 +332,15 @@ def test_store_uncapped_by_default_and_rejects_bad_cap(tmp_path):
 
 
 def test_store_roundtrips_attack_probes(tmp_path):
-    """AttackProbeJob results persist and reload as AttackProbe objects."""
+    """Attack-job results persist and reload as ScenarioProbe objects."""
     store = ResultStore(tmp_path)
-    job = AttackProbeJob.build("flush-reload")
+    job = ScenarioJob.build("flush-reload")
     (probe,) = run_batch([job], store=store)
     assert probe.succeeded, "undefended flush-reload must succeed"
     reread = ResultStore(tmp_path)
     (cached,) = run_batch([job], store=reread)
     assert reread.hits == 1
     assert dataclasses.asdict(cached) == dataclasses.asdict(probe)
-    # Probe and attack jobs with identical inputs still get distinct keys
-    # (the fingerprint includes the class name).
-    assert job.key() != AttackJob.build("flush-reload").key()
 
 
 def test_store_result_kind_dispatch(tmp_path):
@@ -466,17 +462,17 @@ def test_sim_job_rejects_non_positive_scale():
 
 def test_attack_job_unknown_kind():
     with pytest.raises(ConfigError):
-        AttackJob(attack="rowhammer")
+        ScenarioJob(attack="rowhammer")
     with pytest.raises(ConfigError):
-        AttackJob.build("rowhammer")
+        ScenarioJob.build("rowhammer")
 
 
 def test_attack_job_merges_class_default_options():
-    job = AttackJob.build("prime-probe", SystemConfig(), noise_c3=True)
+    job = ScenarioJob.build("prime-probe", SystemConfig(), noise_c3=True)
     assert job.options.noise_c3 is True
     # Prime+Probe's class defaults (48 monitored sets, secret 37) land in
     # the resolved options — and therefore in the job key.
     assert job.options.num_indices == 48
     assert job.options.secret == 37
-    outcome = job.run()
-    assert outcome.challenges == "C1+C2+C3"
+    probe = job.run()
+    assert probe.challenges == "C1+C2+C3"

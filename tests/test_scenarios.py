@@ -134,18 +134,22 @@ def test_scenario_probe_json_roundtrip():
 
 def test_scenario_job_build_validates():
     with pytest.raises(ConfigError):
-        ScenarioJob.build("flush-reload", "no-such-victim", 0)
+        ScenarioJob.build("flush-reload", victim="no-such-victim", secret=0)
     with pytest.raises(ConfigError):
-        ScenarioJob.build("flush-reload", "aes-ttable", 16)  # space is 0..15
+        # The AES victim's secret space is 0..15.
+        ScenarioJob.build("flush-reload", victim="aes-ttable", secret=16)
     with pytest.raises(ConfigError):
         ScenarioJob(attack="no-such-attack")
 
 
 def test_scenario_job_keys_cover_victim_and_secret():
-    base = ScenarioJob.build("flush-reload", "aes-ttable", 1)
-    assert base.key() != ScenarioJob.build("flush-reload", "aes-ttable", 2).key()
-    assert base.key() != ScenarioJob.build("flush-reload", "rsa-sqmul", 1).key()
-    assert base.key() != ScenarioJob.build("evict-reload", "aes-ttable", 1).key()
+    def key(attack, victim, secret):
+        return ScenarioJob.build(attack, victim=victim, secret=secret).key()
+
+    base = key("flush-reload", "aes-ttable", 1)
+    assert base != key("flush-reload", "aes-ttable", 2)
+    assert base != key("flush-reload", "rsa-sqmul", 1)
+    assert base != key("evict-reload", "aes-ttable", 1)
 
 
 def test_build_grid_shape_and_validation():
@@ -162,6 +166,18 @@ def test_build_grid_shape_and_validation():
         scenarios.build_grid(("aes-ttable",), ("bogus",), ("Base",), 2)
     with pytest.raises(ConfigError):
         scenarios.build_grid(("aes-ttable",), ("flush-reload",), ("Bogus",), 2)
+
+
+@pytest.mark.parametrize("attack", ["prime-probe", "evict-time"])
+def test_set_indexed_attacks_refuse_the_direct_victim(attack):
+    """The direct victim's 96 indices alias in the L1 sets a set-indexed
+    attack observes; the grid fails before any trial runs."""
+    with pytest.raises(ConfigError):
+        scenarios.build_grid(("direct",), (attack,), ("Base",), 2)
+    with pytest.raises(ConfigError):
+        ScenarioJob.build(attack, victim="direct", secret=0)
+    # The default victims fit: 64, 48 and 32 indices.
+    scenarios.build_grid(scenarios.DEFAULT_VICTIMS, (attack,), ("Base",), 2)
 
 
 def test_slice_trials_handles_mixed_secret_spaces():
@@ -223,7 +239,7 @@ def test_scenario_run_and_render_smoke():
 def test_store_roundtrips_scenario_probes(tmp_path):
     from repro.runner import ResultStore
 
-    job = ScenarioJob.build("flush-reload", "ecdsa-window", 1)
+    job = ScenarioJob.build("flush-reload", victim="ecdsa-window", secret=1)
     store = ResultStore(tmp_path)
     first = run_batch([job], store=store)
     assert store.misses == 1 and store.hits == 0
@@ -237,9 +253,9 @@ def test_scenario_probe_carries_defense_stats():
     Access Tracker counters (the scenario suite's `alloc fails` column)."""
     probe = ScenarioJob.build(
         "flush-reload",
-        "aes-ttable",
-        3,
         SystemConfig(prefetcher=scenarios.defense_spec("FULL")),
+        victim="aes-ttable",
+        secret=3,
     ).run()
     assert probe.defense_stats, "defense counters missing from the probe"
     stats = probe.defense_stats[0]
@@ -274,7 +290,7 @@ def test_reuse_snapshots_caches_individual_trials(tmp_path):
     from repro.runner import ResultStore
 
     jobs = [
-        ScenarioJob.build("evict-reload", "ecdsa-window", secret)
+        ScenarioJob.build("evict-reload", victim="ecdsa-window", secret=secret)
         for secret in (1, 5, 9)
     ]
     store = ResultStore(tmp_path)
