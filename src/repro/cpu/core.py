@@ -14,6 +14,15 @@ architectural semantics and the matching Table III calculation-buffer rule
 in straight-line code.  ``tests/test_golden_parity.py`` pins this dispatch
 engine cycle- and counter-exact against the pre-overhaul interpreter.
 
+One ``step`` is one scheduler step: a whole compiled block, one
+instruction, or one squash.  With ``CoreConfig.fuse_countdown_loops`` on and
+the core not speculating, a step at a basic-block leader runs the
+straight-line run of register-only instructions there (and, on a core
+without speculative execution, its closing branch) as one generated
+function from :mod:`repro.cpu.blocks`.  Every other step runs one
+instruction through the handler table, which stays the reference the
+blocks are fuzzed against (``tests/test_block_fuzz.py``).
+
 Speculative execution (``CoreConfig.speculative_execution``) models the
 Spectre-v1 substrate: conditional branches are predicted by a 2-bit counter
 table and resolve ``resolve_delay`` cycles after issue.  On a misprediction
@@ -30,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.calc import CalculationBuffer
+from repro.cpu.blocks import Block, compile_blocks
 from repro.errors import ExecutionError
 from repro.isa.decode import (
     K_ADD_RI,
@@ -84,12 +94,15 @@ class CoreConfig:
     # always pay the full latency — a timed load cannot be overlapped,
     # which is exactly why attackers serialise their measurements.
     load_hide_cycles: int = 0
-    # Collapse pure `sub rX,rX,1; bne rX,zero,back` countdown loops into a
-    # single scheduler step with the closed-form state delta (cycle- and
-    # counter-exact; tests/test_golden_parity.py and the fuse-on/off tests
-    # in tests/test_snapshot_parity.py pin the equivalence).  Busy-wait
-    # delay loops dominate attack instruction counts, so interpreting them
-    # iteration by iteration dominated scenario wall-time.
+    # The one switch for both kinds of fusion, each cycle- and
+    # counter-exact.  Pure `sub rX,rX,1; bne rX,zero,back` countdown loops
+    # collapse into one scheduler step with the closed-form state delta
+    # (busy-wait delay loops dominate attack instruction counts).  And each
+    # straight-line run of register-only instructions, with its closing
+    # branch, runs as one compiled block (cpu/blocks.py; most Table IV
+    # instructions are such runs).  tests/test_golden_parity.py, the
+    # fuse-on/off tests in tests/test_snapshot_parity.py and
+    # tests/test_block_fuzz.py pin the equivalence.
     fuse_countdown_loops: bool = True
     speculative_execution: bool = False
     resolve_delay: int = 60
@@ -184,6 +197,22 @@ class Core:
         self._predictor_entries = config.predictor_entries
         self._spec_window = config.spec_window
         self._dispatch = self._build_dispatch()
+        # Compiled blocks by leader index, shared with every core running
+        # the same decoded program under the same costs.
+        self._blocks: dict[int, Block] = (
+            dict(
+                compile_blocks(
+                    self._decoded,
+                    self._base_cost,
+                    self._mul_cost,
+                    self._branch_cost,
+                    self._scale_cap,
+                    not self._spec_enabled,
+                )
+            )
+            if self._fuse_loops
+            else {}
+        )
 
     def _build_dispatch(self) -> list[Any]:
         """Handler table indexed by the decode-kind integers (``Any`` holes
@@ -342,12 +371,24 @@ class Core:
     # -- main step ------------------------------------------------------------------
 
     def step(self) -> None:
-        """Execute one instruction (or resolve a pending squash)."""
+        """Take one scheduler step: run one compiled block, execute one
+        instruction, or resolve a pending squash.
+
+        A block runs only when fusion is on, the core is not speculating
+        and ``pc_index`` is a compiled leader; transient execution always
+        goes one instruction at a time.
+        """
         if self.halted:
             return
-        if self._speculating and self.time >= self._resolve_time:
-            self._squash()
-            return
+        if self._speculating:
+            if self.time >= self._resolve_time:
+                self._squash()
+                return
+        elif self._fuse_loops:
+            block = self._blocks.get(self.pc_index)
+            if block is not None:
+                block(self, self._values, self._tracks)
+                return
         index = self.pc_index
         if 0 <= index < self._program_len:
             d = self._decoded[index]

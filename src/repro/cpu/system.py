@@ -10,6 +10,11 @@ attack) use a direct comparison, and larger systems use a binary heap keyed
 on ``(local_time, core_index)``.  All three orders are identical to the
 seed implementation's per-step ``min(active, key=time)`` scan — ties break
 toward the lower core index — which ``tests/test_golden_parity.py`` pins.
+
+A scheduler step is one :meth:`Core.step <repro.cpu.core.Core.step>`: one
+compiled block of register-only instructions, one instruction, or one
+squash.  ``max_steps`` and ``run_steps`` count those steps.  A sampled run
+turns fusion off, so there every step is one instruction (or one squash).
 """
 
 from __future__ import annotations
@@ -81,10 +86,12 @@ class System:
         """Run all cores to halt.
 
         Args:
-            max_steps: guard against runaway programs (spin deadlocks).
+            max_steps: guard against runaway programs (spin deadlocks); it
+                counts scheduler steps, so a compiled block is one step.
             sample_interval: when set, record ``sample_fn(self)`` every this
                 many scheduler steps (Fig. 12 uses this to sample protected
-                buffer counts over execution progress).
+                buffer counts over execution progress).  Fusion is off for
+                the run, so a step is one instruction.
             sample_fn: sampling callback; defaults to core 0's protected
                 buffer count when its prefetcher is a PREFENDER.
 
@@ -94,12 +101,29 @@ class System:
         if sample_fn is None:
             sample_fn = _default_sample
         samples: list[tuple[int, object]] = []
-        if sample_interval:
-            # Sampling cadence counts scheduler steps, and countdown-loop
-            # fusion collapses many steps into one; interpret loops fully so
-            # a sampled run sees the same step sequence as the seed engine.
+        if not sample_interval:
+            return self._run(max_steps, None, sample_fn, samples)
+        # Sampling cadence counts scheduler steps, and fusion (countdown
+        # loops and compiled blocks) collapses many instructions into one
+        # step; interpret one instruction per step so a sampled run sees
+        # the seed engine's step sequence, then restore each core's switch.
+        for core in self.cores:
+            core._fuse_loops = False
+        try:
+            return self._run(max_steps, sample_interval, sample_fn, samples)
+        finally:
             for core in self.cores:
-                core._fuse_loops = False
+                core._fuse_loops = core.config.fuse_countdown_loops
+
+    def _run(
+        self,
+        max_steps: int,
+        sample_interval: int | None,
+        sample_fn: Callable[["System"], object],
+        samples: list[tuple[int, object]],
+    ) -> RunResult:
+        """Schedule every active core to halt (``run`` with each core's
+        fusion switch already set)."""
         active = [core for core in self.cores if not core.halted]
         steps = 0
         while active:

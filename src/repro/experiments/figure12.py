@@ -36,8 +36,9 @@ def run(
     names = workloads or SPEC2006_NAMES
     spec = table_spec("prefender", 32, with_rp=True)
     # Pre-measure run lengths (one probe batch) to place samples uniformly.
-    # The perf core never speculates, so every scheduler step retires one
-    # instruction and the retired-instruction count *is* the step count.
+    # A sampled run turns block and loop fusion off, and the perf core never
+    # speculates, so there every scheduler step retires one instruction and
+    # the probe's retired-instruction count *is* the sampled step count.
     probe_jobs = [sim_job(name, spec, scale) for name in names]
     probes = batch_results(probe_jobs, workers=jobs, store=store)
     totals = [probe.instructions for probe in probes]

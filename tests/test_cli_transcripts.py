@@ -1,11 +1,14 @@
-"""Byte-for-byte transcripts of the attack-facing CLI commands.
+"""Byte-for-byte transcripts of the CLI commands that print results.
 
-Every command here turns attack runs into printed verdicts: ``attack``
-for each kind and challenge flag, the Table II ``ablation``, ``figure8``
-and a tiny ``frontier`` grid.  Each is run in-process through
-:func:`repro.__main__.main` and its exit code and stdout are compared
-against ``tests/golden/cli_transcripts.json``, so a refactor of the
-attack-job plumbing cannot move a single printed character.
+The attack-facing commands turn attack runs into printed verdicts:
+``attack`` for each kind and challenge flag, the Table II ``ablation``,
+``figure8`` and a tiny ``frontier`` grid.  The performance tables
+(``table 4`` and ``table 6`` at scale 0.1) print the cycle-derived
+speedups of many single-core simulations.  Each command is run in-process
+through :func:`repro.__main__.main` and its exit code and stdout are
+compared against ``tests/golden/cli_transcripts.json``, so a refactor of
+the attack-job plumbing or of the simulator's dispatch cannot move a
+single printed character.
 
 Regenerate (only when an *intentional* output change lands)::
 
@@ -51,6 +54,8 @@ TRANSCRIPTS: tuple[tuple[str, ...], ...] = (
         "--scale",
         "0.05",
     ),
+    ("table", "4", "--scale", "0.1"),
+    ("table", "6", "--scale", "0.1"),
 )
 
 

@@ -59,13 +59,69 @@ def test_cross_core_spin_synchronisation():
     assert result.cycles > 0
 
 
+_SAMPLED_SOURCE = """
+li r1, 0x10000
+li r2, 6
+loop:
+load r3, 0(r1)
+add r4, r3, r2
+mul r5, r4, 3
+xor r6, r5, r4
+add r1, r1, 64
+sub r2, r2, 1
+bne r2, zero, loop
+li r7, 20
+spin:
+sub r7, r7, 1
+bne r7, zero, spin
+halt
+"""
+
+
 def test_sampling_hook():
-    program = assemble("li r1, 100\nloop:\nsub r1, r1, 1\nbne r1, zero, loop\nhalt")
-    system = build_system([program], SystemConfig())
-    result = system.run(sample_interval=50, sample_fn=lambda s: s.cores[0].time)
-    assert len(result.samples) >= 3
-    times = [value for _, value in result.samples]
-    assert times == sorted(times)
+    """A sampled run counts one scheduler step per instruction, loads, ALU
+    runs and countdown loops alike, so Figure 12's x-axis is execution
+    progress.  The exact ``(step, (time, retired))`` list is pinned."""
+    system = build_system([assemble(_SAMPLED_SOURCE)], SystemConfig())
+    result = system.run(
+        sample_interval=9,
+        sample_fn=lambda s: (s.cores[0].time, s.cores[0].stats.instructions_retired),
+    )
+    assert result.samples == [
+        (9, (146, 9)),
+        (18, (427, 18)),
+        (27, (575, 27)),
+        (36, (721, 36)),
+        (45, (867, 45)),
+        (54, (876, 54)),
+        (63, (885, 63)),
+        (72, (894, 72)),
+        (81, (903, 81)),
+    ]
+    assert (result.cycles, result.instructions) == (908, 86)
+
+
+_COUNTDOWN = "li r1, 1000\nloop:\nsub r1, r1, 1\nbne r1, zero, loop\nhalt"
+
+
+def test_sampled_run_restores_fusion():
+    """A sampled run interprets one instruction per step only for itself:
+    afterwards, whether it returned or raised, the System fuses again and
+    runs the 2,002-instruction countdown in a handful of steps."""
+    system = build_system([assemble(_COUNTDOWN)], SystemConfig())
+    image = system.snapshot()
+    fused = system.run(max_steps=10)
+
+    system.restore(image)
+    system.run(sample_interval=100)
+    system.restore(image)
+    assert system.run(max_steps=10) == fused
+
+    system.restore(image)
+    with pytest.raises(SimulationError):
+        system.run(max_steps=50, sample_interval=10)
+    system.restore(image)
+    assert system.run(max_steps=10) == fused
 
 
 def test_prefetcher_spec_labels():

@@ -55,15 +55,18 @@ GLOBAL_SKIP = frozenset(
 )
 
 #: Per-class skips: aliases that would double-report real state walked
-#: elsewhere (``Core._values`` aliases ``Core.regs._values``) and the
+#: elsewhere (``Core._values`` aliases ``Core.regs._values``), the
 #: per-core mirrors of immutable :class:`CoreConfig` fields, which may
 #: legitimately differ between two systems being compared differentially
-#: (e.g. countdown fusion on vs off) without being *state*.
+#: (e.g. countdown fusion on vs off) without being *state*, and the
+#: compiled block table, which like ``_dispatch`` is derived from the
+#: program and the config (empty with fusion off).
 PER_CLASS_SKIP: dict[str, frozenset[str]] = {
     "Core": frozenset(
         {
             "_values",
             "_tracks",
+            "_blocks",
             "core_id",
             "_program_len",
             "_scale_cap",
