@@ -196,7 +196,6 @@ class Core:
         self._resolve_delay = config.resolve_delay
         self._predictor_entries = config.predictor_entries
         self._spec_window = config.spec_window
-        self._dispatch = self._build_dispatch()
         # Compiled blocks by leader index, shared with every core running
         # the same decoded program under the same costs.
         self._blocks: dict[int, Block] = (
@@ -214,47 +213,15 @@ class Core:
             else {}
         )
 
-    def _build_dispatch(self) -> list[Any]:
-        """Handler table indexed by the decode-kind integers (``Any`` holes
-        for kinds without a handler: decode emits every kind listed here)."""
-        table: list[Any] = [None] * NUM_KINDS
-        table[K_LOAD] = self._op_load
-        table[K_STORE] = self._op_store
-        table[K_LI] = self._op_li
-        table[K_MOV] = self._op_mov
-        table[K_ADD_RR] = self._op_add_rr
-        table[K_SUB_RR] = self._op_sub_rr
-        table[K_ADD_RI] = self._op_add_ri
-        table[K_MUL_RR] = self._op_mul_rr
-        table[K_MUL_RI] = self._op_mul_ri
-        table[K_SLL_RR] = self._op_sll_rr
-        table[K_SRL_RR] = self._op_srl_rr
-        table[K_SLL_RI] = self._op_sll_ri
-        table[K_SRL_RI] = self._op_srl_ri
-        table[K_AND_RR] = self._op_and_rr
-        table[K_OR_RR] = self._op_or_rr
-        table[K_XOR_RR] = self._op_xor_rr
-        table[K_AND_RI] = self._op_and_ri
-        table[K_OR_RI] = self._op_or_ri
-        table[K_XOR_RI] = self._op_xor_ri
-        table[K_BRANCH] = self._op_branch
-        table[K_JMP] = self._op_jmp
-        table[K_RDCYCLE] = self._op_rdcycle
-        table[K_CLFLUSH] = self._op_clflush
-        table[K_PREFETCH] = self._op_prefetch
-        table[K_NOP] = self._op_nop
-        table[K_FENCE] = self._op_fence
-        table[K_HALT] = self._op_halt
-        return table
-
     # -- snapshot/restore ---------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
         """All mutable core state as flat tuples.
 
-        The program, decode cache and dispatch table are immutable per core
-        and stay out; registers and calculation tracks are copied because
-        the hot loop aliases them (``_values``/``_tracks``).
+        The program, decode cache and compiled blocks are immutable per
+        core and stay out, and the dispatch table is one module-level table
+        that no core owns; registers and calculation tracks are copied
+        because the hot loop aliases them (``_values``/``_tracks``).
         """
         return {
             "regs": tuple(self._values),
@@ -392,7 +359,7 @@ class Core:
         index = self.pc_index
         if 0 <= index < self._program_len:
             d = self._decoded[index]
-            self._dispatch[d[0]](d)
+            _DISPATCH[d[0]](self, d)
             if self._speculating:
                 self._spec_count += 1
                 if self._spec_count >= self._spec_window:
@@ -912,3 +879,45 @@ class Core:
             self.halted = True
             self.time += self._base_cost
             self.stats.instructions_retired += 1
+
+
+def _build_dispatch() -> list[Any]:
+    """Handler table indexed by the decode-kind integers (``Any`` holes
+    for kinds without a handler: decode emits every kind listed here).
+
+    One table of plain functions, shared by every core and called as
+    ``handler(core, d)``: a per-core table of bound methods would tie each
+    core into a reference cycle with itself.
+    """
+    table: list[Any] = [None] * NUM_KINDS
+    table[K_LOAD] = Core._op_load
+    table[K_STORE] = Core._op_store
+    table[K_LI] = Core._op_li
+    table[K_MOV] = Core._op_mov
+    table[K_ADD_RR] = Core._op_add_rr
+    table[K_SUB_RR] = Core._op_sub_rr
+    table[K_ADD_RI] = Core._op_add_ri
+    table[K_MUL_RR] = Core._op_mul_rr
+    table[K_MUL_RI] = Core._op_mul_ri
+    table[K_SLL_RR] = Core._op_sll_rr
+    table[K_SRL_RR] = Core._op_srl_rr
+    table[K_SLL_RI] = Core._op_sll_ri
+    table[K_SRL_RI] = Core._op_srl_ri
+    table[K_AND_RR] = Core._op_and_rr
+    table[K_OR_RR] = Core._op_or_rr
+    table[K_XOR_RR] = Core._op_xor_rr
+    table[K_AND_RI] = Core._op_and_ri
+    table[K_OR_RI] = Core._op_or_ri
+    table[K_XOR_RI] = Core._op_xor_ri
+    table[K_BRANCH] = Core._op_branch
+    table[K_JMP] = Core._op_jmp
+    table[K_RDCYCLE] = Core._op_rdcycle
+    table[K_CLFLUSH] = Core._op_clflush
+    table[K_PREFETCH] = Core._op_prefetch
+    table[K_NOP] = Core._op_nop
+    table[K_FENCE] = Core._op_fence
+    table[K_HALT] = Core._op_halt
+    return table
+
+
+_DISPATCH = _build_dispatch()

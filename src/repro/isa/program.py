@@ -80,20 +80,29 @@ class Program:
         """Instruction index for address ``pc``."""
         return (pc - self.code_base) // INSTRUCTION_SIZE
 
+    def _check_editable(self, edit: str) -> None:
+        """Refuse ``edit`` once finalized: the decode tuples, the resolved
+        branch targets and a strict build's cached analysis were all made
+        from the program as it stood, and a finalized program may be shared
+        by every job that runs it."""
+        if self._finalized:
+            raise AssemblyError(f"cannot {edit} a finalized program")
+
     def add_label(self, label: str) -> None:
         """Attach ``label`` to the next instruction to be appended."""
+        self._check_editable("add a label to")
         if label in self.labels:
             raise AssemblyError(f"duplicate label: {label!r}")
         self.labels[label] = len(self.instructions)
 
     def append(self, instruction: Instruction) -> None:
         """Append one instruction (program must not be finalized yet)."""
-        if self._finalized:
-            raise AssemblyError("cannot append to a finalized program")
+        self._check_editable("append to")
         self.instructions.append(instruction)
 
     def add_data(self, segment: DataSegment) -> None:
         """Register an initial-data segment."""
+        self._check_editable("add data to")
         self.data_segments.append(segment)
 
     def taint_source(self, address: int) -> "Program":
@@ -104,6 +113,7 @@ class Program:
         static taint analysis (:mod:`repro.analysis.taint`) seeds from
         loads whose resolved address is a declared cell.
         """
+        self._check_editable("declare a taint source in")
         if not isinstance(address, int) or address < 0:
             raise AssemblyError(
                 f"taint source address must be a non-negative int, "
@@ -121,6 +131,7 @@ class Program:
         """
         from repro.analysis.analyzer import ANALYSIS_RULES
 
+        self._check_editable("add a suppression to")
         if rule not in ANALYSIS_RULES:
             known = ", ".join(sorted(ANALYSIS_RULES))
             raise AssemblyError(

@@ -147,7 +147,8 @@ class Cache:
         self._set_mask = self.num_sets - 1
         self.mshr = MSHRFile(num_entries=mshr_entries, max_merges=mshr_max_merges)
         self.stats = CacheStats()
-        # Set by the hierarchy on the shared L2 to back-invalidate L1 copies.
+        # Set by the hierarchy on the shared L2 to back-invalidate L1 copies;
+        # it holds the hierarchy weakly, so the L2 keeps no cycle alive.
         self.on_evict: Callable[[int, int], None] | None = None
 
     # -- lookup helpers ------------------------------------------------------

@@ -29,8 +29,9 @@ data side.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import SnapshotError
 from repro.mem.cache import Cache, MemoryPort
@@ -102,6 +103,7 @@ class MemoryHierarchy:
         "_exclusive",
         "ownership_steals",
         "_block_mask",
+        "__weakref__",
     )
 
     def __init__(
@@ -128,7 +130,7 @@ class MemoryHierarchy:
             mshr_entries=self.config.mshr_entries * max(num_cores, 1),
             mshr_max_merges=self.config.mshr_max_merges,
         )
-        self.l2.on_evict = self._back_invalidate
+        self.l2.on_evict = _back_invalidation_hook(self)
         self.l1ds = [
             Cache(
                 f"L1D{core_id}",
@@ -445,3 +447,21 @@ class MemoryHierarchy:
                     requests = prefetcher.on_back_invalidation(block_addr, now)
                     if requests:
                         self._issue_requests(core_id, now, requests)
+
+
+def _back_invalidation_hook(
+    hierarchy: MemoryHierarchy,
+) -> Callable[[int, int], None]:
+    """The shared L2's ``on_evict`` hook, holding ``hierarchy`` weakly.
+
+    A bound ``_back_invalidate`` would close the cycle hierarchy -> L2 ->
+    hook -> hierarchy, so a finished system would wait for the cyclic
+    collector instead of being freed by reference counting.  An eviction
+    after the hierarchy is gone raises ``ReferenceError``.
+    """
+    proxy = weakref.proxy(hierarchy)
+
+    def on_evict(block_addr: int, now: int) -> None:
+        proxy._back_invalidate(block_addr, now)
+
+    return on_evict

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from repro.errors import ConfigError
@@ -19,7 +20,7 @@ class Workload:
         name: the SPEC benchmark name it models (e.g. ``429.mcf``).
         suite: ``spec2006`` or ``spec2017``.
         pattern: one-line description of the dominant access pattern.
-        builder: zero-argument callable returning the finalized program.
+        builder: callable from a scale to the finalized program.
         scale: relative size knob; 1.0 is the default benchmark length.
     """
 
@@ -30,8 +31,20 @@ class Workload:
     scale: float = 1.0
 
     def program(self, scale: float | None = None) -> Program:
-        """Build the workload program (``scale`` stretches loop counts)."""
-        return self.builder(scale if scale is not None else self.scale)
+        """The workload program (``scale`` stretches loop counts).
+
+        Consecutive calls with the same builder and scale return the same
+        finalized program, which every caller only reads.
+        """
+        return _build(self.builder, scale if scale is not None else self.scale)
+
+
+@lru_cache(maxsize=1)
+def _build(builder: Callable[[float], Program], scale: float) -> Program:
+    """The most recent build, keyed on the builder itself: ``Workload``
+    equality ignores ``builder``.  One entry suffices because grids submit
+    their jobs workload-major, so one program serves a whole row."""
+    return builder(scale)
 
 
 def register(workload: Workload) -> Workload:

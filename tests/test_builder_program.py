@@ -81,6 +81,39 @@ def test_append_after_finalize_rejected():
         program.append(Instruction("nop"))
 
 
+def test_add_label_after_finalize_rejected():
+    # A late label would never be resolved into a branch target.
+    program = assemble("halt")
+    with pytest.raises(AssemblyError):
+        program.add_label("late")
+    assert "late" not in program.labels
+
+
+def test_add_data_after_finalize_rejected():
+    # A late segment would be loaded into memory but never analysed.
+    program = ProgramBuilder("t").halt().build(strict=True)
+    with pytest.raises(AssemblyError):
+        program.add_data(DataSegment(base=0x1000, values=(1,)))
+    assert program.data_segments == []
+
+
+def test_allow_after_finalize_rejected():
+    # A late suppression would never reach the cached strict analysis.
+    program = ProgramBuilder("t").halt().build(strict=True)
+    analysis = program.analysis
+    with pytest.raises(AssemblyError):
+        program.allow("AN-DEAD")
+    assert program.suppressions == set()
+    assert program.analysis is analysis
+
+
+def test_taint_source_after_finalize_rejected():
+    program = ProgramBuilder("t").halt().build(strict=True)
+    with pytest.raises(AssemblyError):
+        program.taint_source(0x1000)
+    assert program.taint_sources == set()
+
+
 def test_finalize_rejects_missing_target():
     from repro.isa.instructions import Instruction
 

@@ -345,12 +345,22 @@ def test_pure601_clean_on_copies_and_other_params():
     assert rules_hit(src, ANALYSIS) == []
 
 
+def test_pure601_flags_program_reader_outside_analysis():
+    # Every package but isa/ reads programs that other jobs share.
+    src = (
+        "def run(program):\n"
+        "    program.instructions.append(None)\n"
+    )
+    assert rules_hit(src, "src/repro/cpu/thing.py") == ["PURE601"]
+
+
 def test_pure601_silent_outside_analysis_scope():
+    # isa/ builds programs, so it is the one package that may edit them.
     src = (
         "def annotate(program):\n"
         "    program.analysis = None\n"
     )
-    assert rules_hit(src, SIM) == []
+    assert rules_hit(src, "src/repro/isa/thing.py") == []
 
 
 # -- suppressions -------------------------------------------------------------

@@ -26,12 +26,12 @@ SNAP501    mutable field of a snapshot-capable class not covered by its
            snapshot/restore key set: warm replay would silently resume
            from stale state when someone adds a field and forgets the
            snapshot dict
-PURE601    analysis code mutating its program/decode input: the static
-           analyses (``src/repro/analysis/``) promise to be pure readers
-           of decoded programs, so an attribute store or in-place
-           mutator call on a ``program``/``programs``/``decoded``
+PURE601    code mutating its program/decode input: everything under
+           ``src/repro/`` except ``isa/`` (which builds programs) is a
+           pure reader of finalized programs, so an attribute store or
+           in-place mutator call on a ``program``/``programs``/``decoded``
            parameter (or any ``Program``-annotated one) would let one
-           consumer's analysis corrupt another's input
+           consumer corrupt the input of every job sharing the program
 =========  =============================================================
 """
 
@@ -739,10 +739,10 @@ class SnapshotCoverageRule:
                 )
 
 
-#: Parameter names the purity rule always treats as analysis inputs.
+#: Parameter names the purity rule always treats as program inputs.
 _ANALYSIS_INPUT_NAMES = frozenset({"program", "programs", "decoded"})
 
-#: Annotation suffixes marking a parameter as an analysis input.
+#: Annotation suffixes marking a parameter as a program input.
 _ANALYSIS_INPUT_ANNOTATIONS = ("Program", "DecodedProgram")
 
 
@@ -764,21 +764,29 @@ def _annotation_suffix(annotation: ast.expr | None) -> str:
 
 
 class AnalysisPurityRule(_PrefixScopedRule):
-    """PURE601: static analyses must not mutate their program inputs.
+    """PURE601: program readers must not mutate their program inputs.
 
-    For every function in ``src/repro/analysis/``: a parameter named
-    ``program``/``programs``/``decoded``, or annotated with a ``Program``
-    type, is an analysis *input* shared with every other consumer
-    (``Program.finalize`` caches analyses; the CLI and the certifier walk
+    For every function under ``src/repro/`` outside ``isa/``: a parameter
+    named ``program``/``programs``/``decoded``, or annotated with a
+    ``Program`` type, is an *input* shared with every other consumer
+    (``Program.finalize`` caches analyses, ``Workload.program`` hands one
+    build to every job of a grid row, and the CLI and the certifier walk
     the same decode tuples).  An attribute/subscript store rooted at such
-    a parameter, or an in-place mutator-method call on it, breaks the
-    package's purity contract — flagged here instead of in review.
+    a parameter, or an in-place mutator-method call on it, breaks that
+    read-only contract — flagged here instead of in review.  ``isa/`` is
+    exempt: it builds programs, and ``Program`` refuses edits once
+    finalized.
     """
 
     rule_id = "PURE601"
-    description = "analysis code mutates its program/decode input"
-    fixit = "copy the input first (`state.copy()`, `dict(...)`); analyses read"
-    scope = ("src/repro/analysis/",)
+    description = "code mutates its program/decode input"
+    fixit = "copy the input first (`state.copy()`, `dict(...)`); readers read"
+    scope = ("src/repro/",)
+
+    def applies(self, relpath: str) -> bool:
+        return super().applies(relpath) and not relpath.startswith(
+            "src/repro/isa/"
+        )
 
     @staticmethod
     def _input_params(
@@ -825,7 +833,7 @@ class AnalysisPurityRule(_PrefixScopedRule):
                     ):
                         yield (
                             child.lineno,
-                            f"`.{callee.attr}()` mutates analysis input "
+                            f"`.{callee.attr}()` mutates program input "
                             f"`{_root_name(callee.value)}` in "
                             f"`{func.name}`",
                         )
@@ -837,7 +845,7 @@ class AnalysisPurityRule(_PrefixScopedRule):
                     if root in inputs:
                         yield (
                             child.lineno,
-                            f"store into analysis input `{root}` in "
+                            f"store into program input `{root}` in "
                             f"`{func.name}`",
                         )
 

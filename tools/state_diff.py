@@ -7,7 +7,7 @@ like ``core[1].l1._sets[3][65728].dirty: True != False``.  An empty list means
 the two graphs are field-for-field identical.
 
 The walk skips configuration and topology that is immutable for a given
-system (program text, decode caches, dispatch tables, geometry constants)
+system (program text, decode caches, compiled blocks, geometry constants)
 and back-references (``Core.hierarchy``, ``Cache.parent``) that would
 otherwise make every comparison traverse the whole system from every node.
 Plain dicts compare order-insensitively (key set + per-key values);
@@ -46,7 +46,6 @@ GLOBAL_SKIP = frozenset(
         "amap",
         "parent",
         "on_evict",
-        "_dispatch",
         "_decoded",
         "_port",
         "_memory",
@@ -59,8 +58,8 @@ GLOBAL_SKIP = frozenset(
 #: per-core mirrors of immutable :class:`CoreConfig` fields, which may
 #: legitimately differ between two systems being compared differentially
 #: (e.g. countdown fusion on vs off) without being *state*, and the
-#: compiled block table, which like ``_dispatch`` is derived from the
-#: program and the config (empty with fusion off).
+#: compiled block table, which is derived from the program and the config
+#: (empty with fusion off).
 PER_CLASS_SKIP: dict[str, frozenset[str]] = {
     "Core": frozenset(
         {
