@@ -6,6 +6,10 @@ address and completion time.  Demand misses that find no free entry first
 *squash* an outstanding prefetch fill (demand priority, gem5's policy) and
 only *wait* for the earliest completion when every entry is a demand fill;
 prefetches that find no free entry are *dropped*.
+
+Each pool's occupancy is kept as a counter, so the pool check on every miss
+and prefetch reads an integer instead of scanning the entries, and each
+query calls the purge only once the earliest outstanding fill is due.
 """
 
 from __future__ import annotations
@@ -41,6 +45,12 @@ class MSHRFile:
     vs ``prefetch_entries``), modelling the dedicated prefetch issue queue
     real prefetchers ship with; a saturated demand stream therefore cannot
     permanently starve the defense's prefetches (and vice versa).
+
+    ``_demand_count`` and ``_prefetch_count`` count each pool's entries
+    (a borrowed-slot demand fill counts in the prefetch pool).  Like
+    ``_earliest`` they are derived from the entries and stay out of the
+    snapshot: :meth:`_append`, :meth:`_purge` and a squash keep them
+    current, and :meth:`restore` rebuilds them.
     """
 
     __slots__ = (
@@ -49,6 +59,8 @@ class MSHRFile:
         "prefetch_entries",
         "_entries",
         "_earliest",
+        "_demand_count",
+        "_prefetch_count",
         "demand_waits",
         "total_wait_cycles",
         "merges",
@@ -67,9 +79,12 @@ class MSHRFile:
         self.max_merges = max_merges
         self.prefetch_entries = prefetch_entries
         self._entries: list[_Entry] = []
-        # Earliest ready_time among _entries (_NEVER when empty): _purge
-        # rebuilds the list only once ``now`` reaches it.
+        # Earliest ready_time among _entries (_NEVER when empty): queries
+        # call _purge only once ``now`` reaches it.
         self._earliest: float = _NEVER
+        # Entries in the demand pool and in the prefetch pool.
+        self._demand_count: int = 0
+        self._prefetch_count: int = 0
         self.demand_waits = 0
         self.total_wait_cycles = 0
         self.merges = 0
@@ -104,9 +119,12 @@ class MSHRFile:
              "prefetch_drops", "prefetch_squashes", "last_squashed_block"),
             "MSHRFile",
         )
-        # _earliest is derived from the entries, so restore recomputes it.
+        # _earliest and the pool counts are derived from the entries, so
+        # restore recomputes them.
         self._entries = []
         self._earliest = _NEVER  # lint: allow SNAP501
+        self._demand_count = 0  # lint: allow SNAP501
+        self._prefetch_count = 0  # lint: allow SNAP501
         for row in data["entries"]:
             self._append(_Entry(*row))
         self.demand_waits = data["demand_waits"]
@@ -117,28 +135,40 @@ class MSHRFile:
         self.last_squashed_block = data["last_squashed_block"]
 
     def _purge(self, now: int) -> None:
-        """Drop completed fills; the list is rebuilt only when one expired."""
-        if self._earliest > now:
-            return
+        """Drop the fills completed by ``now`` and recount both pools.
+
+        Callers test ``self._earliest <= now`` first: before that time no
+        entry can have expired, and skipping the call is the common case.
+        """
         kept = []
         earliest = _NEVER
+        prefetch = 0
         for entry in self._entries:
             ready_time = entry.ready_time
             if ready_time > now:
                 kept.append(entry)
                 if ready_time < earliest:
                     earliest = ready_time
+                if entry.is_prefetch or entry.borrows_prefetch_slot:
+                    prefetch += 1
         self._entries = kept
         self._earliest = earliest
+        self._demand_count = len(kept) - prefetch
+        self._prefetch_count = prefetch
 
     def _append(self, entry: _Entry) -> None:
         self._entries.append(entry)
+        if entry.is_prefetch or entry.borrows_prefetch_slot:
+            self._prefetch_count += 1
+        else:
+            self._demand_count += 1
         if entry.ready_time < self._earliest:
             self._earliest = entry.ready_time
 
     def occupancy(self, now: int) -> int:
         """Number of fills still outstanding at ``now``."""
-        self._purge(now)
+        if self._earliest <= now:
+            self._purge(now)
         return len(self._entries)
 
     def available(self, now: int) -> bool:
@@ -148,13 +178,9 @@ class MSHRFile:
         (borrowed-slot fills live in the prefetch pool and don't count), or
         a squashable prefetch entry whose slot a demand could take over.
         """
-        self._purge(now)
-        demand = sum(
-            1
-            for e in self._entries
-            if not e.is_prefetch and not e.borrows_prefetch_slot
-        )
-        if demand < self.num_entries:
+        if self._earliest <= now:
+            self._purge(now)
+        if self._demand_count < self.num_entries:
             return True
         return any(
             e.is_prefetch and not e.demand_consumed for e in self._entries
@@ -166,11 +192,9 @@ class MSHRFile:
         Demand fills that squashed a prefetch occupy its slot until they
         complete, so they count against the pool here.
         """
-        self._purge(now)
-        inflight = sum(
-            1 for e in self._entries if e.is_prefetch or e.borrows_prefetch_slot
-        )
-        return inflight < self.prefetch_entries
+        if self._earliest <= now:
+            self._purge(now)
+        return self._prefetch_count < self.prefetch_entries
 
     def merge(self, block_addr: int, now: int, demand: bool = True) -> int | None:
         """Try to merge an access to an in-flight line.
@@ -180,7 +204,8 @@ class MSHRFile:
         merge pins the entry against demand-priority squashing (it now has
         a waiter).
         """
-        self._purge(now)
+        if self._earliest <= now:
+            self._purge(now)
         for entry in self._entries:
             if entry.block_addr == block_addr:
                 if entry.merges >= self.max_merges:
@@ -200,7 +225,8 @@ class MSHRFile:
         the entry becomes unsquashable because a load's charged latency
         depends on the fill actually landing.
         """
-        self._purge(now)
+        if self._earliest <= now:
+            self._purge(now)
         for entry in self._entries:
             if entry.block_addr == block_addr:
                 entry.demand_consumed = True
@@ -220,17 +246,12 @@ class MSHRFile:
             ``(start_time, ready_time)`` — the fill begins at ``start_time``
             (>= now) and data arrives at ``ready_time``.
         """
-        self._purge(now)
+        if self._earliest <= now:
+            self._purge(now)
         start_time = now
         borrows = False
         self.last_squashed_block = None
-        # Borrowed-slot fills occupy the prefetch pool, not the demand pool.
-        demand_entries = [
-            e
-            for e in self._entries
-            if not e.is_prefetch and not e.borrows_prefetch_slot
-        ]
-        if len(demand_entries) >= self.num_entries:
+        if self._demand_count >= self.num_entries:
             prefetch_entries = [
                 e
                 for e in self._entries
@@ -239,6 +260,7 @@ class MSHRFile:
             if prefetch_entries:
                 victim = min(prefetch_entries, key=lambda e: e.ready_time)
                 self._entries.remove(victim)
+                self._prefetch_count -= 1
                 self._earliest = min(
                     (e.ready_time for e in self._entries), default=_NEVER
                 )
@@ -246,7 +268,13 @@ class MSHRFile:
                 self.last_squashed_block = victim.block_addr
                 borrows = True
             else:
-                earliest = min(entry.ready_time for entry in demand_entries)
+                # Borrowed-slot fills occupy the prefetch pool, not the
+                # demand pool, so they are not waited on.
+                earliest = min(
+                    e.ready_time
+                    for e in self._entries
+                    if not e.is_prefetch and not e.borrows_prefetch_slot
+                )
                 start_time = max(now, earliest)
                 self.demand_waits += 1
                 self.total_wait_cycles += start_time - now
@@ -268,7 +296,8 @@ class MSHRFile:
         never drops or waits; the entry is prefetch-class so it cannot block
         later demand misses at this level.
         """
-        self._purge(now)
+        if self._earliest <= now:
+            self._purge(now)
         ready_time = now + fill_time
         self._append(
             _Entry(block_addr=block_addr, ready_time=ready_time, is_prefetch=True)
@@ -281,11 +310,9 @@ class MSHRFile:
         Returns the fill's ready time, or ``None`` when the prefetch was
         dropped because no MSHR was free.
         """
-        self._purge(now)
-        inflight = sum(
-            1 for e in self._entries if e.is_prefetch or e.borrows_prefetch_slot
-        )
-        if inflight >= self.prefetch_entries:
+        if self._earliest <= now:
+            self._purge(now)
+        if self._prefetch_count >= self.prefetch_entries:
             self.prefetch_drops += 1
             return None
         ready_time = now + fill_time

@@ -1,10 +1,11 @@
 """Differential fuzz test: the optimised ``Cache`` against a naive reference.
 
 The reference keeps each set as a plain list of line rows in recency order
-(least recently used first) and finds lines by a linear search.  It shares
-the real ``MSHRFile`` logic and a ``MemoryPort`` parent, but its MSHR file
-purges completed fills on every query instead of only once one has expired,
-so the MSHR's expiry gate is checked differentially too.
+(least recently used first) and finds lines by a linear search.  Its MSHR
+file is the naive ``ReferenceMSHR`` (``reference_mshr``), which purges
+completed fills on every query and counts its pools by scanning, so the
+cache and its ``MSHRFile`` are checked together; only the ``MemoryPort``
+parent is shared.
 
 Hypothesis drives random sequences of demand loads and stores, prefetch-fill
 accesses, prefetches, flushes, invalidations and child writebacks through a
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_mshr import ReferenceMSHR
 from repro.mem.cache import Cache, CacheStats, MemoryPort
 from repro.mem.memory import MainMemory
-from repro.mem.mshr import MSHRFile
 from repro.utils.addr import AddressMap
 
 NUM_SETS = 4
@@ -31,15 +32,6 @@ ASSOC = 2
 BLOCK = 64
 HIT_LATENCY = 4
 MEMORY_LATENCY = 100
-
-
-class UngatedMSHR(MSHRFile):
-    """The real MSHR file with a purge that rebuilds on every query."""
-
-    __slots__ = ()
-
-    def _purge(self, now):
-        self._entries = [e for e in self._entries if e.ready_time > now]
 
 
 @dataclass
@@ -64,7 +56,7 @@ class ReferenceCache:
     def __init__(self, mshr_entries):
         self.sets = [[] for _ in range(NUM_SETS)]
         self.parent = MemoryPort(MainMemory(latency=MEMORY_LATENCY))
-        self.mshr = UngatedMSHR(num_entries=mshr_entries)
+        self.mshr = ReferenceMSHR(num_entries=mshr_entries)
         self.stats = CacheStats()
 
     def _rows(self, block_addr):

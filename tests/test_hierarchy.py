@@ -4,6 +4,7 @@ import pytest
 
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.prefetch.base import Observation, Prefetcher, PrefetchRequest
+from repro.prefetch.bitp import BITPPrefetcher
 
 
 @pytest.fixture
@@ -226,3 +227,62 @@ def test_software_prefetch_drops_when_prefetch_mshrs_full(hierarchy):
     assert hierarchy.l1ds[0].stats.prefetch_dropped == 1
     # Once the fills land, the same prefetch goes through.
     assert hierarchy.software_prefetch(0, 0x30000, now=5000).level == "L2"
+
+
+def _assert_inclusive(hierarchy, step):
+    """Every block resident in an L1 is resident in the inclusive L2."""
+    for core_id, l1d in enumerate(hierarchy.l1ds):
+        for block_addr in l1d.resident_blocks():
+            assert hierarchy.l2.contains(block_addr), (
+                f"after access {step}: L1D{core_id} holds {block_addr:#x}, "
+                "the L2 does not"
+            )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP open item 3 (concrete inclusion): an L2 miss that merges "
+        "into the MSHR entry of a fill whose line was already evicted "
+        "returns without re-inserting the line"
+    ),
+)
+def test_l2_mshr_merge_after_eviction_keeps_inclusion():
+    # 0x300's L2 fill is still in flight (ready at 132) when core 1's load
+    # of 0x000 evicts it from L2 set 0; core 1's load of 0x300 at 21 then
+    # merges into the leftover entry (level "MSHR", 115 cycles).
+    hierarchy = MemoryHierarchy(
+        num_cores=2,
+        config=HierarchyConfig(
+            l1d_size=256, l1d_assoc=2, l2_size=512, l2_assoc=2
+        ),
+    )
+    accesses = [(0, 0x300, 0), (1, 0x100, 0), (1, 0x000, 1), (1, 0x300, 21)]
+    for step, (core_id, addr, now) in enumerate(accesses):
+        hierarchy.load(core_id, addr, now=now)
+        _assert_inclusive(hierarchy, step)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP open item 3 (concrete inclusion): Cache._evict calls the "
+        "on_evict hook before it pops the line, so BITP's refill hits the "
+        "L2 copy being dropped"
+    ),
+)
+def test_bitp_refill_during_l2_eviction_keeps_inclusion():
+    # Core 1's load of 0x80 evicts 0x00 from the one-set L2, which
+    # back-invalidates core 0's copy; BITP refills it at once (ready at
+    # 2020, an L2-hit latency) from the L2 line that is then popped.
+    hierarchy = MemoryHierarchy(
+        num_cores=2,
+        config=HierarchyConfig(
+            l1d_size=128, l1d_assoc=2, l2_size=128, l2_assoc=2
+        ),
+    )
+    hierarchy.attach_prefetcher(0, BITPPrefetcher())
+    accesses = [(0, 0x00, 0), (1, 0x40, 1000), (1, 0x80, 2000)]
+    for step, (core_id, addr, now) in enumerate(accesses):
+        hierarchy.load(core_id, addr, now=now)
+        _assert_inclusive(hierarchy, step)
