@@ -23,8 +23,13 @@ destroying the attacker's observation.  Three layers:
   the rdcycle deltas its probe loop stores into the results array.  Those
   latencies classify into a candidate set with the attack's published
   ``hit_threshold`` / ``candidate_is_slow`` rule, byte-for-byte the logic
-  of :class:`repro.attacks.base.AttackOutcome`.  Running the walk once per
-  trial secret yields the attacker-observable vector per secret.
+  of :class:`repro.attacks.base.AttackOutcome`.  Each (victim, attack)
+  pair is built once, and its walk is finished once per trial secret with
+  only the data word at ``AttackLayout.secret_addr`` changed; that yields
+  the attacker-observable vector per secret.  A product walk runs once to
+  just before the first load of that word (the stop rule of
+  :func:`repro.attacks.replay._run_to_watch`) and forks there per secret;
+  a single-program walk starts from t=0 for each secret.
 * **Verdict** — :func:`certify` compares observables across secrets and
   applies the defense's abstract transformer
   (:mod:`repro.analysis.defense`): ``LEAKS`` when some secret pair stays
@@ -48,8 +53,8 @@ certify as ``UNKNOWN``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.cachemodel import HierarchyState
 from repro.analysis.dataflow import _transfer
@@ -71,6 +76,7 @@ from repro.analysis.timing import (
     _walk,
 )
 from repro.cpu.core import CoreConfig
+from repro.errors import ConfigError
 from repro.isa.decode import (
     K_BRANCH,
     K_CLFLUSH,
@@ -185,6 +191,17 @@ class _CoreWalk:
                 f"core {self.core_id}: register r{index} unknown at pc {self.pc}"
             )
         return value
+
+    def copy(self) -> "_CoreWalk":
+        dup = _CoreWalk.__new__(_CoreWalk)
+        dup.core_id = self.core_id
+        dup.decoded = self.decoded
+        dup.n = self.n
+        dup.regs = dict(self.regs)
+        dup.pc = self.pc
+        dup.time = self.time
+        dup.serialized = self.serialized
+        return dup
 
     def _exact(self, lo: int, hi: int) -> int:
         if lo != hi:
@@ -311,35 +328,69 @@ def _merged_memory(programs: Sequence[Any]) -> dict[int, int]:
     return memory
 
 
+class _ProductState:
+    """Everything a product-walk step reads or writes, so a walk can fork.
+
+    ``active`` holds the cores that have not halted; ``steps`` counts the
+    steps taken so far against the walk's budget.
+    """
+
+    __slots__ = ("shared", "memory", "active", "steps")
+
+    def __init__(self, programs: Sequence[Any], hconfig: HierarchyConfig) -> None:
+        self.shared = HierarchyState(hconfig, num_cores=len(programs))
+        self.memory = _merged_memory(programs)
+        self.active = [
+            _CoreWalk(core_id, tuple(program.decoded))
+            for core_id, program in enumerate(programs)
+            if program.decoded
+        ]
+        self.steps = 0
+
+    def copy(self) -> "_ProductState":
+        dup = _ProductState.__new__(_ProductState)
+        dup.shared = self.shared.copy()
+        dup.memory = dict(self.memory)
+        dup.active = [core.copy() for core in self.active]
+        dup.steps = self.steps
+        return dup
+
+
 def _product_walk(
-    programs: Sequence[Any],
+    state: _ProductState,
     config: CoreConfig,
-    hconfig: HierarchyConfig,
-    max_steps: int,
-) -> dict[int, int]:
-    """Interleaved product walk; returns the final shared memory image.
+    budget: int,
+    watch: int | None = None,
+) -> bool:
+    """Advance an interleaved product walk in place.
 
     Scheduling is byte-identical to :meth:`repro.cpu.system.System.run_steps`:
     the non-halted core with the smallest local time steps next, strict
-    ``<`` keeping the lower-index core on ties.  Raises :class:`_Unresolved`
-    on any precision loss or step exhaustion.
+    ``<`` keeping the lower-index core on ties.  With ``watch`` set, the
+    walk stops *before* the scheduled core executes a load whose effective
+    address is ``watch`` and returns True (the stop rule of
+    :func:`repro.attacks.replay._run_to_watch`).  Otherwise it runs until
+    every core halts and returns False.  ``budget`` bounds ``state.steps``
+    over all calls on one walk.  Raises :class:`_Unresolved` on any
+    precision loss or step exhaustion.
     """
-    shared = HierarchyState(hconfig, num_cores=len(programs))
-    memory = _merged_memory(programs)
     fuse = config.fuse_countdown_loops and not config.speculative_execution
-    cores = [
-        _CoreWalk(core_id, tuple(program.decoded))
-        for core_id, program in enumerate(programs)
-    ]
-    active = [core for core in cores if core.n > 0]
-    budget = max_steps * len(cores)
-    for _ in range(budget):
+    shared, memory, active = state.shared, state.memory, state.active
+    while state.steps < budget:
         if not active:
-            return memory
+            return False
         best = active[0]
         for core in active[1:]:
             if core.time < best.time:
                 best = core
+        if watch is not None and 0 <= best.pc < best.n:
+            tup = best.decoded[best.pc]
+            if (
+                tup[0] == K_LOAD
+                and (best.reg(tup[2]) + tup[3]) & WORD_MASK == watch
+            ):
+                return True
+        state.steps += 1
         if best.step(shared, memory, config, fuse):
             active.remove(best)
     if active:
@@ -347,7 +398,7 @@ def _product_walk(
             f"product walk exhausted {budget} steps with "
             f"{len(active)} core(s) still running"
         )
-    return memory
+    return False
 
 
 # -- observation -----------------------------------------------------------------
@@ -370,33 +421,66 @@ def _candidates(
     )
 
 
-def _walk_attack(
-    attack: Any,
+#: A walk's end state: the final shared memory image and abstract hierarchy.
+_EndState = tuple[Mapping[int, int | None], HierarchyState]
+
+
+def _secret_walk(
+    programs: Sequence[Any],
+    watch: int,
     config: CoreConfig,
     hconfig: HierarchyConfig,
     max_steps: int,
-) -> frozenset[int]:
-    """Walk one built attack instance; returns its candidate index set."""
-    programs = attack.build_programs()
+) -> Callable[[int], _EndState]:
+    """Walk one built attack; returns ``finish(secret)``.
+
+    ``finish`` gives the end state of the walk whose data word at
+    ``watch`` is ``secret``.  A one-program attack walks
+    :func:`~repro.analysis.timing._walk` from t=0 with the secret bound as
+    that initial word.  A product walk runs once, here, to just before the
+    first load of ``watch``, which is the first step that can depend on
+    the secret.  ``finish`` copies that state, writes the secret word into
+    the copy and walks the rest on the same budget.  If every core halts
+    before that load, every secret shares the one end state.
+    """
     if len(programs) == 1:
-        memory = _initial_memory(programs[0], {})
-        outcome = _walk(
-            tuple(programs[0].decoded),
-            memory,
-            config,
-            hconfig,
-            frozenset(),
-            max_steps,
-        )
-        if outcome.final is None or outcome.hi is None:
-            raise _Unresolved("single-core walk did not resolve")
-        final_memory = memory
-    else:
-        final_memory = _product_walk(programs, config, hconfig, max_steps)
+        program = programs[0]
+        decoded = tuple(program.decoded)
+
+        def finish_one_core(secret: int) -> _EndState:
+            memory = _initial_memory(program, {watch: secret})
+            outcome = _walk(
+                decoded, memory, config, hconfig, frozenset(), max_steps
+            )
+            if outcome.final is None or outcome.hi is None:
+                raise _Unresolved("single-core walk did not resolve")
+            return memory, outcome.final
+
+        return finish_one_core
+
+    budget = max_steps * len(programs)
+    prefix = _ProductState(programs, hconfig)
+    stopped = _product_walk(prefix, config, budget, watch)
+
+    def finish_product(secret: int) -> _EndState:
+        if not stopped:
+            return prefix.memory, prefix.shared
+        state = prefix.copy()
+        state.memory[watch] = secret & WORD_MASK
+        _product_walk(state, config, budget)
+        return state.memory, state.shared
+
+    return finish_product
+
+
+def _read_candidates(
+    attack: Any, memory: Mapping[int, int | None]
+) -> frozenset[int]:
+    """The attacker's candidate index set, read from its results array."""
     layout, options = attack.layout, attack.options
     latencies: list[int] = []
     for index in range(options.num_indices):
-        value = final_memory.get(layout.result_addr(index), 0)
+        value = memory.get(layout.result_addr(index), 0)
         if value is None:
             raise _Unresolved(f"result slot {index} never resolved")
         latencies.append(value)
@@ -407,8 +491,13 @@ def _walk_attack(
 
 @dataclass(frozen=True)
 class _Observations:
-    """Per-(victim, attack) walk results, shared across defense rows."""
+    """Per-(victim, attack) walk results, shared across defense rows.
 
+    One build of the attack serves every trial secret: the walks differ
+    only in the data word at ``layout.secret_addr``.
+    """
+
+    #: The distinct trial secrets, in the caller's order.
     secrets: tuple[int, ...]
     #: secret -> candidate index set (``None`` when any walk gave up).
     candidates: Mapping[int, frozenset[int]] | None
@@ -429,6 +518,16 @@ def _observe(
     hconfig: HierarchyConfig,
     max_steps: int,
 ) -> _Observations:
+    """Walk one (victim, attack) pair for every distinct trial secret.
+
+    The attack is built, and so strictly analysed, once.  Strict findings
+    read only the decoded program, its taint sources and its suppressions,
+    and a build for another secret differs only in the data word at
+    ``layout.secret_addr`` (``tests/test_certify_fork.py``).  Walks
+    finish in secret order, so the first ``_Unresolved`` is the one the
+    first failing secret raises.  Raises :class:`ConfigError` for fewer
+    than two distinct secrets, which leave nothing to compare.
+    """
     from repro.runner.job import ATTACK_KINDS
     from repro.workloads.crypto import get_victim
 
@@ -438,18 +537,19 @@ def _observe(
 
         secrets = descriptor.trial_secrets(DEFAULT_SECRETS)
     secret_tuple = tuple(dict.fromkeys(secrets))
-
-    def build(secret: int) -> Any:
-        return ATTACK_KINDS[attack_name](
-            victim=victim_name,
-            secret=secret,
-            num_indices=descriptor.num_indices,
+    if len(secret_tuple) < 2:
+        raise ConfigError(
+            "certifying needs at least two distinct trial secrets to "
+            f"compare, got {list(secrets)}"
         )
 
-    probe = build(secret_tuple[0])
-    carrier = next(
-        (p for p in probe.build_programs() if p.taint_sources), None
+    probe = ATTACK_KINDS[attack_name](
+        victim=victim_name,
+        secret=secret_tuple[0],
+        num_indices=descriptor.num_indices,
     )
+    programs = probe.build_programs()
+    carrier = next((p for p in programs if p.taint_sources), None)
     options = probe.options
     if carrier is not None:
         havoc = havoc_reach(
@@ -481,13 +581,16 @@ def _observe(
     candidates: dict[int, frozenset[int]] = {}
     feasible = True
     try:
+        finish = _secret_walk(
+            programs, probe.layout.secret_addr, config, hconfig, max_steps
+        )
         for secret in secret_tuple:
-            attack = build(secret)
-            observed = _walk_attack(attack, config, hconfig, max_steps)
+            # ``replace`` re-runs AttackOptions' range check per secret.
+            trial = replace(options, secret=secret)
+            memory, _ = finish(secret)
+            observed = _read_candidates(probe, memory)
             candidates[secret] = observed
-            expected = frozenset(
-                descriptor.expected_indices(secret, attack.options)
-            )
+            expected = frozenset(descriptor.expected_indices(secret, trial))
             feasible = feasible and observed == expected
     except _Unresolved as unresolved:
         return _Observations(
@@ -562,7 +665,9 @@ def certify(
     ``DEFENDED``: no pair is distinguishable — either the undefended
     observables already coincide, or every distinguishing index is
     havocked to top by a certainly-firing defense.  ``UNKNOWN``: the walk
-    lost precision, or the defense's firing is only possible.
+    lost precision, or the defense's firing is only possible.  Raises
+    :class:`~repro.errors.ConfigError` for fewer than two distinct
+    ``secrets``.
     """
     model = defense_model(defense)
     observations = _observe(
@@ -708,7 +813,8 @@ def certify_grid(
     Defaults mirror the dynamic scenario suite's grid
     (:mod:`repro.attacks.scenarios`), with the matrix sorted on every key
     so the report — and the CLI JSON built from it — is byte-stable
-    regardless of input ordering.
+    regardless of input ordering.  ``num_secrets`` below 2 raises
+    :class:`~repro.errors.ConfigError`.
     """
     from repro.attacks.scenarios import (
         DEFAULT_ATTACKS,

@@ -1,0 +1,227 @@
+"""One build per (victim, attack) pair and a product walk forked per secret.
+
+The certifier (``repro.analysis.scenario``) builds each pair's attack once
+and finishes its walk once per trial secret, changing only the data word
+at ``AttackLayout.secret_addr``.  A two-core walk runs once to just before
+the first load of that word and is copied there for each secret.  These
+tests pin the facts that make both shortcuts sound:
+
+* a build for any trial secret differs from the first secret's build only
+  in that data word, so one strict build checks what 16 would;
+* every forked or rebound walk ends exactly where a per-secret rebuild
+  walked from t=0 ends: same memory image, same abstract hierarchy, same
+  candidate set;
+* the fork spends the walk's one step budget, so running out before or
+  after the fork point gives the rebuild's failure reason.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.analysis.scenario import (
+    UNKNOWN,
+    _ProductState,
+    _Unresolved,
+    _product_walk,
+    _read_candidates,
+    _secret_walk,
+    certify,
+    certify_grid,
+)
+from repro.analysis.timing import DEFAULT_WALK_STEPS, _initial_memory, _walk
+from repro.attacks.scenarios import DEFAULT_ATTACKS, DEFAULT_VICTIMS
+from repro.cpu.core import CoreConfig
+from repro.errors import ConfigError
+from repro.isa.builder import ProgramBuilder
+from repro.isa.decode import K_LOAD
+from repro.isa.registers import WORD_MASK
+from repro.mem.hierarchy import HierarchyConfig
+from repro.runner.job import ATTACK_KINDS
+from repro.workloads.crypto import get_victim
+
+SECRETS = 16
+PAIRS = [(victim, attack) for victim in DEFAULT_VICTIMS for attack in DEFAULT_ATTACKS]
+TWO_CORE = [
+    (victim, attack)
+    for victim, attack in PAIRS
+    if attack.startswith("adversarial-prefetch")
+]
+CONFIG = CoreConfig()
+HCONFIG = HierarchyConfig()
+
+
+def _build(victim, attack, secret):
+    return ATTACK_KINDS[attack](
+        victim=victim,
+        secret=secret,
+        num_indices=get_victim(victim).num_indices,
+    )
+
+
+def _words_except(program, address):
+    """Each data segment's shape and words, less the word at ``address``."""
+    return [
+        (
+            segment.base,
+            segment.stride,
+            len(segment.values),
+            tuple(
+                value
+                for at, value in zip(segment.addresses(), segment.values)
+                if at != address
+            ),
+        )
+        for segment in program.data_segments
+    ]
+
+
+def _walk_from_t0(programs):
+    """A per-secret build walked from t=0, with no fork and no binding."""
+    if len(programs) == 1:
+        memory = _initial_memory(programs[0], {})
+        outcome = _walk(
+            tuple(programs[0].decoded),
+            memory,
+            CONFIG,
+            HCONFIG,
+            frozenset(),
+            DEFAULT_WALK_STEPS,
+        )
+        assert outcome.final is not None and outcome.hi is not None
+        return memory, outcome.final
+    state = _ProductState(programs, HCONFIG)
+    assert not _product_walk(state, CONFIG, DEFAULT_WALK_STEPS * len(programs))
+    return state.memory, state.shared
+
+
+@pytest.mark.parametrize("victim,attack", PAIRS)
+def test_builds_for_every_secret_differ_only_in_the_secret_word(victim, attack):
+    secrets = get_victim(victim).trial_secrets(SECRETS)
+    first = _build(victim, attack, secrets[0])
+    watch = first.layout.secret_addr
+    reference = first.build_programs()
+    for secret in secrets:
+        programs = _build(victim, attack, secret).build_programs()
+        assert len(programs) == len(reference)
+        carriers = []
+        for got, want in zip(programs, reference):
+            assert got.decoded == want.decoded
+            assert got.taint_sources == want.taint_sources
+            assert got.suppressions == want.suppressions
+            assert _words_except(got, watch) == _words_except(want, watch)
+            word = _initial_memory(got, {}).get(watch)
+            if word is not None:
+                carriers.append(word)
+        # Exactly one program writes the word, so writing it into the
+        # merged memory image is the same as building with the secret.
+        assert carriers == [secret]
+
+
+@pytest.mark.parametrize("victim,attack", PAIRS)
+def test_one_walk_per_pair_matches_a_rebuild_per_secret(victim, attack):
+    secrets = get_victim(victim).trial_secrets(SECRETS)
+    probe = _build(victim, attack, secrets[0])
+    finish = _secret_walk(
+        probe.build_programs(),
+        probe.layout.secret_addr,
+        CONFIG,
+        HCONFIG,
+        DEFAULT_WALK_STEPS,
+    )
+    seen = set()
+    for secret in secrets:
+        memory, shared = finish(secret)
+        rebuilt = _build(victim, attack, secret)
+        want_memory, want_shared = _walk_from_t0(rebuilt.build_programs())
+        assert memory == want_memory, secret
+        assert shared.leq(want_shared) and want_shared.leq(shared), secret
+        candidates = _read_candidates(probe, memory)
+        assert candidates == _read_candidates(rebuilt, want_memory), secret
+        seen.add(candidates)
+    # Every default pair leaks undefended, so a walk that lost the secret
+    # (forked after its load, or never written) shows one observable.
+    assert len(seen) > 1
+
+
+@pytest.mark.parametrize("victim,attack", TWO_CORE)
+def test_product_walk_forks_before_the_first_secret_load(victim, attack):
+    probe = _build(victim, attack, 0)
+    watch = probe.layout.secret_addr
+    programs = probe.build_programs()
+    prefix = _ProductState(programs, HCONFIG)
+    assert _product_walk(prefix, CONFIG, DEFAULT_WALK_STEPS * 2, watch)
+    # The core the scheduler picks next is about to load the secret word.
+    best = min(prefix.active, key=lambda core: (core.time, core.core_id))
+    kind, _rd, base, imm, _pc = best.decoded[best.pc]
+    assert kind == K_LOAD
+    assert (best.reg(base) + imm) & WORD_MASK == watch
+    # Resuming without a watch finishes the same walk a fresh one takes.
+    whole = _ProductState(programs, HCONFIG)
+    _product_walk(whole, CONFIG, DEFAULT_WALK_STEPS * 2)
+    assert prefix.steps < whole.steps
+    _product_walk(prefix, CONFIG, DEFAULT_WALK_STEPS * 2)
+    assert prefix.steps == whole.steps
+    assert prefix.memory == whole.memory
+    assert prefix.shared == whole.shared
+
+
+def test_running_out_of_steps_reports_the_rebuilds_reason():
+    victim, attack = TWO_CORE[0]
+    secrets = get_victim(victim).trial_secrets(SECRETS)
+    probe = _build(victim, attack, secrets[0])
+    watch = probe.layout.secret_addr
+    programs = probe.build_programs()
+    prefix = _ProductState(programs, HCONFIG)
+    assert _product_walk(prefix, CONFIG, DEFAULT_WALK_STEPS * 2, watch)
+    fork_step = prefix.steps
+    whole = _ProductState(programs, HCONFIG)
+    _product_walk(whole, CONFIG, DEFAULT_WALK_STEPS * 2)
+    # A two-core walk's budget is 2 * max_steps.
+    before, after = fork_step // 4, (fork_step + whole.steps) // 4
+    assert 2 * before < fork_step < 2 * after < whole.steps
+    for max_steps in (before, after):
+        rebuilt = _build(victim, attack, secrets[1]).build_programs()
+        with pytest.raises(_Unresolved) as want:
+            _product_walk(_ProductState(rebuilt, HCONFIG), CONFIG, 2 * max_steps)
+        with pytest.raises(_Unresolved) as got:
+            _secret_walk(programs, watch, CONFIG, HCONFIG, max_steps)(secrets[1])
+        assert got.value.reason == want.value.reason
+        cell = certify(attack, victim, "Base", secrets=secrets, max_steps=max_steps)
+        assert cell.verdict == UNKNOWN
+        assert cell.detail == want.value.reason
+
+
+def test_certify_grid_builds_each_pair_once(monkeypatch):
+    built = []
+    original = ProgramBuilder.build
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProgramBuilder, "build", counting)
+    certify_grid(["aes-ttable"], ["flush-reload"], num_secrets=SECRETS)
+    assert len(built) == 1
+    built.clear()
+    certify_grid(["aes-ttable"], ["adversarial-prefetch-a2"], num_secrets=SECRETS)
+    assert len(built) == 2
+
+
+# -- fewer than two distinct secrets ---------------------------------------------
+
+
+def test_certify_rejects_no_secrets():
+    with pytest.raises(ConfigError, match="two distinct trial secrets"):
+        certify("flush-reload", "aes-ttable", "Base", secrets=())
+
+
+def test_certify_rejects_one_distinct_secret():
+    # Undefended Flush+Reload leaks, but one secret has nothing to compare.
+    with pytest.raises(ConfigError, match="two distinct trial secrets"):
+        certify("flush-reload", "aes-ttable", "Base", secrets=[3, 3])
+
+
+def test_certify_grid_rejects_one_secret():
+    with pytest.raises(ConfigError, match="two distinct trial secrets"):
+        certify_grid(["aes-ttable"], ["flush-reload"], num_secrets=1)
