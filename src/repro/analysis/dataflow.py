@@ -10,9 +10,10 @@ their view of register reads/writes matches the timing core's handlers:
   sets, exported for the ROADMAP's closure-compiled step functions (a
   dead register's Table III track never needs materialising).
 * **constant propagation** (forward, agree-or-drop meet) — resolves
-  ``li``/``add``/``mul`` chains to concrete values, mirroring the core's
-  64-bit masking exactly; the footprint analysis reads the per-access
-  resolved addresses it produces.
+  ``li``/``add``/``mul`` chains to concrete values with the value
+  expressions the core runs (one compiled function per ALU kind in
+  :mod:`repro.cpu.alu`, so the 64-bit masking is the core's own); the
+  footprint analysis reads the per-access resolved addresses it produces.
 """
 
 from __future__ import annotations
@@ -20,65 +21,35 @@ from __future__ import annotations
 from typing import Any
 
 from repro.analysis.cfg import EXIT, ControlFlowGraph
+from repro.cpu.alu import REGISTER_OPS, VALUES
 from repro.isa.decode import (
-    K_ADD_RI,
-    K_ADD_RR,
-    K_AND_RI,
-    K_AND_RR,
     K_BRANCH,
     K_CLFLUSH,
-    K_LI,
     K_LOAD,
-    K_MOV,
-    K_MUL_RI,
-    K_MUL_RR,
-    K_OR_RI,
-    K_OR_RR,
     K_PREFETCH,
     K_RDCYCLE,
-    K_SLL_RI,
-    K_SLL_RR,
-    K_SRL_RI,
-    K_SRL_RR,
     K_STORE,
-    K_SUB_RR,
-    K_XOR_RI,
-    K_XOR_RR,
 )
 from repro.isa.registers import NUM_REGISTERS, WORD_MASK, ZERO_REGISTER
 
-_ALU_RR_KINDS = frozenset(
-    {
-        K_ADD_RR,
-        K_SUB_RR,
-        K_MUL_RR,
-        K_SLL_RR,
-        K_SRL_RR,
-        K_AND_RR,
-        K_OR_RR,
-        K_XOR_RR,
-    }
-)
-_ALU_RI_KINDS = frozenset(
-    {K_ADD_RI, K_MUL_RI, K_SLL_RI, K_SRL_RI, K_AND_RI, K_OR_RI, K_XOR_RI}
-)
+#: Operand form (``r`` register, ``i`` immediate) of every register-only
+#: kind's decode fields after ``rd``.
+_FORMS = {op.kind: op.form for op in REGISTER_OPS}
+#: Where those register operands end in the decode tuple: registers come
+#: before an immediate.
+_READS_END = {kind: 2 + form.count("r") for kind, form in _FORMS.items()}
 
 
 def uses_and_def(tup: tuple[Any, ...]) -> tuple[tuple[int, ...], int | None]:
     """``(read registers, written register or None)`` for one tuple."""
     kind = tup[0]
+    end = _READS_END.get(kind)
+    if end is not None:
+        return tup[2:end], tup[1]
     if kind == K_LOAD:
         return (tup[2],), tup[1]
     if kind == K_STORE:
         return (tup[1], tup[2]), None
-    if kind == K_LI:
-        return (), tup[1]
-    if kind == K_MOV:
-        return (tup[2],), tup[1]
-    if kind in _ALU_RR_KINDS:
-        return (tup[2], tup[3]), tup[1]
-    if kind in _ALU_RI_KINDS:
-        return (tup[2],), tup[1]
     if kind == K_BRANCH:
         return (tup[2], tup[3]), None
     if kind == K_RDCYCLE:
@@ -210,69 +181,38 @@ def liveness(
 #: Per-register constant state: mapping register -> known value.  A register
 #: absent from the mapping is non-constant.  ``r0`` is always 0.
 
-_SHIFT_MASK = 0x3F
-
 
 def _transfer(state: dict[int, int], tup: tuple[Any, ...]) -> None:
-    """Apply one instruction to a constant state, mirroring the core's math."""
+    """Apply one instruction to a constant state with the core's arithmetic:
+    an ALU kind whose registers are all known evaluates its
+    :data:`repro.cpu.alu.VALUES` entry, and ``li``/``mov`` copy theirs."""
     kind = tup[0]
-    reads, written = uses_and_def(tup)
-    if written is None:
+    form = _FORMS.get(kind)
+    if form is None:
+        # Loads and rdcycle produce runtime values; no other kind writes.
+        if (kind == K_LOAD or kind == K_RDCYCLE) and tup[1] != ZERO_REGISTER:
+            state.pop(tup[1], None)
         return
-    if written == ZERO_REGISTER:
+    rd = tup[1]
+    if rd == ZERO_REGISTER:
         return  # writes to r0 are discarded; it stays 0
-
-    def known(register: int) -> int | None:
-        return 0 if register == ZERO_REGISTER else state.get(register)
-
-    value: int | None = None
-    if kind == K_LI:
-        value = tup[2]
-    elif kind == K_MOV:
-        value = known(tup[2])
-    elif kind in _ALU_RI_KINDS:
-        a = known(tup[2])
-        if a is not None:
-            imm = tup[3]
-            if kind == K_ADD_RI:
-                value = (a + imm) & WORD_MASK
-            elif kind == K_MUL_RI:
-                value = (a * imm) & WORD_MASK
-            elif kind == K_SLL_RI:
-                value = (a << imm) & WORD_MASK
-            elif kind == K_SRL_RI:
-                value = (a & WORD_MASK) >> imm
-            elif kind == K_AND_RI:
-                value = a & imm
-            elif kind == K_OR_RI:
-                value = (a | imm) & WORD_MASK
-            else:  # K_XOR_RI
-                value = (a ^ imm) & WORD_MASK
-    elif kind in _ALU_RR_KINDS:
-        a, b = known(tup[2]), known(tup[3])
-        if a is not None and b is not None:
-            if kind == K_ADD_RR:
-                value = (a + b) & WORD_MASK
-            elif kind == K_SUB_RR:
-                value = (a - b) & WORD_MASK
-            elif kind == K_MUL_RR:
-                value = (a * b) & WORD_MASK
-            elif kind == K_SLL_RR:
-                value = (a << (b & _SHIFT_MASK)) & WORD_MASK
-            elif kind == K_SRL_RR:
-                value = (a & WORD_MASK) >> (b & _SHIFT_MASK)
-            elif kind == K_AND_RR:
-                value = a & b
-            elif kind == K_OR_RR:
-                value = (a | b) & WORD_MASK
-            else:  # K_XOR_RR
-                value = (a ^ b) & WORD_MASK
-    # loads and rdcycle produce runtime values: written stays non-constant.
-
+    a = tup[2]
+    if form != "i":  # only li's operand is an immediate
+        a = 0 if a == ZERO_REGISTER else state.get(a)
+        if a is None:
+            state.pop(rd, None)
+            return
+    value = VALUES.get(kind)
     if value is None:
-        state.pop(written, None)
-    else:
-        state[written] = value
+        state[rd] = a
+        return
+    b = tup[3]
+    if form == "rr":
+        b = 0 if b == ZERO_REGISTER else state.get(b)
+        if b is None:
+            state.pop(rd, None)
+            return
+    state[rd] = value(a, b)
 
 
 def _meet(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

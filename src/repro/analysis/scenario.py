@@ -75,6 +75,7 @@ from repro.analysis.timing import (
     _initial_memory,
     _walk,
 )
+from repro.cpu.alu import MUL_KINDS
 from repro.cpu.core import CoreConfig
 from repro.errors import ConfigError
 from repro.isa.decode import (
@@ -84,8 +85,6 @@ from repro.isa.decode import (
     K_HALT,
     K_JMP,
     K_LOAD,
-    K_MUL_RI,
-    K_MUL_RR,
     K_PREFETCH,
     K_RDCYCLE,
     K_STORE,
@@ -309,7 +308,7 @@ class _CoreWalk:
             return True
         else:
             _transfer(self.regs, tup)
-            self.time += base if kind not in (K_MUL_RR, K_MUL_RI) else config.mul_cost
+            self.time += base if kind not in MUL_KINDS else config.mul_cost
             self.pc += 1
         return False
 

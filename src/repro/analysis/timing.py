@@ -47,6 +47,7 @@ from repro.analysis.cachemodel import HierarchyState, LatencyInterval
 from repro.analysis.cfg import EXIT, ControlFlowGraph, build_cfg
 from repro.analysis.dataflow import _transfer
 from repro.analysis.taint import TaintAnalysis, _branch_taken, taint_of_program
+from repro.cpu.alu import MUL_KINDS
 from repro.cpu.core import CoreConfig
 from repro.isa.decode import (
     K_ADD_RI,
@@ -56,8 +57,6 @@ from repro.isa.decode import (
     K_HALT,
     K_JMP,
     K_LOAD,
-    K_MUL_RI,
-    K_MUL_RR,
     K_PREFETCH,
     K_RDCYCLE,
     K_STORE,
@@ -161,7 +160,7 @@ def _instruction_cost(
             lo, _ = _charged(interval, config, serialized=False)
             return lo, interval.hi, interval
         return interval.lo, interval.hi, interval
-    if kind in (K_MUL_RR, K_MUL_RI):
+    if kind in MUL_KINDS:
         return config.mul_cost, config.mul_cost, None
     if kind in (K_BRANCH, K_JMP):
         return config.branch_cost, config.branch_cost, None
@@ -618,7 +617,7 @@ def _walk(
             return _WalkOutcome(time_lo, time_hi, snapshots, hierarchy)
         else:
             _transfer(state, tup)
-            cost = mul_cost if kind in (K_MUL_RR, K_MUL_RI) else base
+            cost = mul_cost if kind in MUL_KINDS else base
             time_lo += cost
             time_hi += cost
             pc += 1

@@ -1,4 +1,4 @@
-r"""Calculation buffer: Table III of the paper.
+r"""Calculation buffer: the per-register state of Table III.
 
 For every architectural register the buffer tracks
 
@@ -8,45 +8,26 @@ For every architectural register the buffer tracks
 * ``sc`` — the *scale*: the stride with which the register's value can move
   when the unknown variables in its history change by one step.
 
-Rules implemented (Table III; ``+`` also covers ``-``, ``x`` also covers
-``<<``/``>>``):
+This module holds only that state and its readers.  The core updates it:
+the rules of the register-only instructions are defined once in
+:mod:`repro.cpu.alu`, and a load or ``rdcycle`` makes its destination an
+unknown variable (NA, scale 1).  ``tests/reference_calc.py`` keeps an
+independent copy of the rules that the core is fuzzed against.
 
-=====================  =======================  =======================
-Instruction            ``fva_d``                ``sc_d``
-=====================  =======================  =======================
-``li rd, imm``         ``imm``                  1
-``load rd, imm(rs)``   NA                       1
-``add rd, rs, imm``    NA if fva(rs) NA         sc(rs)
-\                      fva(rs)+imm otherwise    1
-``add rd, rs0, rs1``   both valid: sum          1  (see note)
-\                      one NA: NA               sc of the NA-side register
-\                      both NA: NA              min(sc0, sc1)
-``mul rd, rs, imm``    NA if fva(rs) NA         sc(rs) * imm
-\                      fva(rs)*imm otherwise    1
-``mul rd, rs0, rs1``   both valid: product      1  (see note)
-\                      rs0 NA: NA               sc0 * fva1
-\                      rs1 NA: NA               fva0 * sc1
-\                      both NA: NA              sc0 * sc1
-otherwise              NA                       1
-=====================  =======================  =======================
+``r0`` is hard-wired zero, so its track is the constant (fva 0, sc 1): it
+starts that way, :meth:`CalculationBuffer.reset` keeps it, and no
+instruction writes it.
 
-Note: the paper prints the two both-valid result scales as ``NA`` while
-every other constant-producing row uses ``1``.  Since prefetching only
-triggers for ``sc`` larger than a cacheline, ``NA`` and ``1`` are
-behaviourally identical; we canonicalise to ``1`` (documented in DESIGN.md).
-
-Scales are kept positive and saturated at the page size (the hardware uses
-16-bit registers because prefetching never crosses a page — Sec. V-E).
+Scales are kept positive and saturated at ``scale_cap``, the page size
+(the hardware uses 16-bit registers because prefetching never crosses a
+page — Sec. V-E).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.registers import NUM_REGISTERS, WORD_MASK
-
-ADD_OPS = frozenset({"add", "sub"})
-MUL_OPS = frozenset({"mul", "sll", "srl"})
+from repro.isa.registers import NUM_REGISTERS
 
 
 @dataclass
@@ -62,18 +43,15 @@ class RegisterTrack:
 
 
 class CalculationBuffer:
-    """Per-register ``(fva, sc)`` state plus the Table III update rules."""
+    """Per-register ``(fva, sc)`` state, updated by the core."""
 
     def __init__(
         self, num_registers: int = NUM_REGISTERS, scale_cap: int = 4096
     ) -> None:
         self.scale_cap = scale_cap
-        self._tracks = [RegisterTrack() for _ in range(num_registers)]
-
-    # -- queries --------------------------------------------------------------
-
-    def track(self, reg: int) -> RegisterTrack:
-        return self._tracks[reg]
+        self._tracks = [RegisterTrack(0)] + [
+            RegisterTrack() for _ in range(num_registers - 1)
+        ]
 
     def scale_of(self, reg: int) -> int:
         """The scale used by the Scale Tracker for a load based on ``reg``."""
@@ -83,134 +61,6 @@ class CalculationBuffer:
         return self._tracks[reg].fva
 
     def reset(self) -> None:
-        for track in self._tracks:
+        """Every register an unknown variable again, except ``r0``."""
+        for track in self._tracks[1:]:
             track.reset()
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _clamp_scale(self, scale: int) -> int:
-        scale = abs(scale)
-        if scale < 1:
-            return 1
-        return min(scale, self.scale_cap)
-
-    @staticmethod
-    def _mask(value: int) -> int:
-        return value & WORD_MASK
-
-    # -- update rules -----------------------------------------------------------
-
-    def load_immediate(self, rd: int, imm: int) -> None:
-        """``li rd, imm``: fva <- imm, sc <- 1."""
-        track = self._tracks[rd]
-        track.fva = self._mask(imm)
-        track.sc = 1
-
-    def load_from_memory(self, rd: int) -> None:
-        """``load rd, imm(rs)``: destination becomes an unknown variable."""
-        self._tracks[rd].reset()
-
-    def move(self, rd: int, rs: int) -> None:
-        """``mov rd, rs`` == ``add rd, rs, 0`` under Table III."""
-        self.alu("add", rd, rs, imm=0)
-
-    def other(self, rd: int) -> None:
-        """The "Otherwise" rule: reinitialise the destination."""
-        self._tracks[rd].reset()
-
-    def alu(
-        self,
-        op: str,
-        rd: int,
-        rs0: int,
-        rs1: int | None = None,
-        imm: int | None = None,
-    ) -> None:
-        """Apply the Table III rule for one ALU instruction.
-
-        Exactly one of ``rs1`` / ``imm`` must be provided.  Ops outside
-        add/sub/mul/sll/srl fall into the "Otherwise" rule.
-        """
-        if op in ADD_OPS:
-            self._add_like(op, rd, rs0, rs1, imm)
-        elif op in MUL_OPS:
-            self._mul_like(op, rd, rs0, rs1, imm)
-        else:
-            self.other(rd)
-
-    # Addition / subtraction ---------------------------------------------------
-
-    def _add_like(
-        self, op: str, rd: int, rs0: int, rs1: int | None, imm: int | None
-    ) -> None:
-        source = self._tracks[rs0]
-        destination = self._tracks[rd]
-        if imm is not None:
-            if source.fva is None:
-                # Adding an immediate offset does not change the scale.
-                new_fva, new_sc = None, source.sc
-            else:
-                value = source.fva + imm if op == "add" else source.fva - imm
-                new_fva, new_sc = self._mask(value), 1
-        else:
-            other = self._tracks[rs1]
-            if source.fva is not None and other.fva is not None:
-                value = (
-                    source.fva + other.fva
-                    if op == "add"
-                    else source.fva - other.fva
-                )
-                new_fva, new_sc = self._mask(value), 1
-            elif source.fva is None and other.fva is not None:
-                new_fva, new_sc = None, source.sc
-            elif source.fva is not None and other.fva is None:
-                new_fva, new_sc = None, other.sc
-            else:
-                new_fva, new_sc = None, min(source.sc, other.sc)
-        destination.fva = new_fva
-        destination.sc = self._clamp_scale(new_sc)
-
-    # Multiplication / shifts ----------------------------------------------------
-
-    @staticmethod
-    def _apply_mul(op: str, value: int, factor: int) -> int:
-        if op == "mul":
-            return value * factor
-        shift = factor & 0x3F
-        if op == "sll":
-            return value << shift
-        return value >> shift  # srl
-
-    def _mul_like(
-        self, op: str, rd: int, rs0: int, rs1: int | None, imm: int | None
-    ) -> None:
-        source = self._tracks[rs0]
-        destination = self._tracks[rd]
-        if imm is not None:
-            if source.fva is None:
-                new_fva = None
-                new_sc = self._apply_mul(op, source.sc, imm)
-            else:
-                new_fva = self._mask(self._apply_mul(op, source.fva, imm))
-                new_sc = 1
-        else:
-            other = self._tracks[rs1]
-            if source.fva is not None and other.fva is not None:
-                new_fva = self._mask(self._apply_mul(op, source.fva, other.fva))
-                new_sc = 1
-            elif source.fva is None and other.fva is not None:
-                new_fva = None
-                new_sc = self._apply_mul(op, source.sc, other.fva)
-            elif source.fva is not None and other.fva is None:
-                if op == "mul":
-                    new_fva, new_sc = None, source.fva * other.sc
-                else:
-                    # Shift by an unknown amount: conservatively reinitialise.
-                    new_fva, new_sc = None, 1
-            else:
-                if op == "mul":
-                    new_fva, new_sc = None, source.sc * other.sc
-                else:
-                    new_fva, new_sc = None, 1
-        destination.fva = new_fva
-        destination.sc = self._clamp_scale(new_sc)

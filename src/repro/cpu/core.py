@@ -9,10 +9,16 @@ the Scale Tracker can see it.
 Execution dispatches through the program's pre-decoded tuples
 (:mod:`repro.isa.decode`, built once at ``Program.finalize()``): ``step``
 indexes a handler table with the tuple's kind integer instead of walking an
-``if op == "load"`` string chain, and each handler applies both the
-architectural semantics and the matching Table III calculation-buffer rule
-in straight-line code.  ``tests/test_golden_parity.py`` pins this dispatch
-engine cycle- and counter-exact against the pre-overhaul interpreter.
+``if op == "load"`` string chain.  The handlers of the register-only kinds
+(``li``, ``mov`` and the ALU kinds) are generated from their one
+definition in :mod:`repro.cpu.alu`, which gives each kind's value and
+Table III calculation-buffer rule; the memory, control and serialising
+handlers are methods here.  ``r0`` is hard-wired zero and its track is the
+constant (fva 0, sc 1): no handler writes either.
+``tests/test_golden_parity.py`` pins this dispatch engine cycle- and
+counter-exact against the pre-overhaul interpreter, and
+``tests/test_calc_reference.py`` fuzzes registers and tracks against an
+independent Table III reference.
 
 One ``step`` is one scheduler step: a whole compiled block, one
 instruction, or one squash.  With ``CoreConfig.fuse_countdown_loops`` on and
@@ -20,8 +26,8 @@ the core not speculating, a step at a basic-block leader runs the
 straight-line run of register-only instructions there (and, on a core
 without speculative execution, its closing branch) as one generated
 function from :mod:`repro.cpu.blocks`.  Every other step runs one
-instruction through the handler table, which stays the reference the
-blocks are fuzzed against (``tests/test_block_fuzz.py``).
+instruction through the handler table; ``tests/test_block_fuzz.py``
+checks that blocks and the table agree on every cycle and counter.
 
 Speculative execution (``CoreConfig.speculative_execution``) models the
 Spectre-v1 substrate: conditional branches are predicted by a 2-bit counter
@@ -39,36 +45,21 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.calc import CalculationBuffer
+from repro.cpu.alu import MUL_KINDS, REGISTER_OPS, RegisterOp, define, write
 from repro.cpu.blocks import Block, compile_blocks
 from repro.errors import ExecutionError
 from repro.isa.decode import (
     K_ADD_RI,
-    K_ADD_RR,
-    K_AND_RI,
-    K_AND_RR,
     K_BRANCH,
     K_CLFLUSH,
     K_FENCE,
     K_HALT,
     K_JMP,
-    K_LI,
     K_LOAD,
-    K_MOV,
-    K_MUL_RI,
-    K_MUL_RR,
     K_NOP,
-    K_OR_RI,
-    K_OR_RR,
     K_PREFETCH,
     K_RDCYCLE,
-    K_SLL_RI,
-    K_SLL_RR,
-    K_SRL_RI,
-    K_SRL_RR,
     K_STORE,
-    K_SUB_RR,
-    K_XOR_RI,
-    K_XOR_RR,
     NUM_KINDS,
 )
 from repro.isa.program import Program
@@ -254,7 +245,8 @@ class Core:
         """
         require_keys(data, _CORE_SNAP_KEYS, "Core")
         self._values[:] = data["regs"]
-        for track, (fva, sc) in zip(self._tracks, data["tracks"]):
+        # r0's track is the constant, whatever the snapshot holds.
+        for track, (fva, sc) in zip(self._tracks[1:], data["tracks"][1:]):
             track.fva = fva
             track.sc = sc
         self.pc_index = data["pc_index"]
@@ -309,15 +301,6 @@ class Core:
             self.stats.transient_executed += 1
         else:
             self.stats.instructions_retired += 1
-
-    def _clamp_sc(self, sc: int) -> int:
-        """The calculation buffer's scale clamp: abs, >= 1, <= page size."""
-        if sc < 0:
-            sc = -sc
-        if sc < 1:
-            return 1
-        cap = self._scale_cap
-        return sc if sc <= cap else cap
 
     def _charged_latency(self, latency: int) -> int:
         """Stall cycles the pipeline pays for a load of ``latency`` cycles.
@@ -380,15 +363,15 @@ class Core:
         values = self._values
         addr = (values[rs0] + imm) & WORD_MASK
         stats = self.stats
-        track = self._tracks[rd]
         if self._speculating:
             # Store-to-load forwarding from the speculative store buffer.
             for buffered_addr, buffered_value in reversed(self._store_buffer):
                 if buffered_addr == addr:
                     if rd:
                         values[rd] = buffered_value & WORD_MASK
-                    track.fva = None
-                    track.sc = 1
+                        track = self._tracks[rd]
+                        track.fva = None
+                        track.sc = 1
                     stats.loads += 1
                     stats.load_latency_total += self._base_cost
                     self.time += self._base_cost
@@ -404,9 +387,11 @@ class Core:
             self._speculating,
         )
         if rd:
+            # The loaded value is an unknown variable under Table III.
             values[rd] = outcome.value & WORD_MASK
-        track.fva = None
-        track.sc = 1
+            track = self._tracks[rd]
+            track.fva = None
+            track.sc = 1
         latency = outcome.latency
         stats.loads += 1
         stats.load_latency_total += latency
@@ -463,287 +448,16 @@ class Core:
         self.pc_index += 1
         self.stats.instructions_retired += 1
 
-    # -- register moves ----------------------------------------------------------------
-
-    def _op_li(self, d: tuple[Any, ...]) -> None:
-        _, rd, imm = d
-        if rd:
-            self._values[rd] = imm
-        track = self._tracks[rd]
-        track.fva = imm
-        track.sc = 1
-        self._retire()
-
-    def _op_mov(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0 = d
-        if rd:
-            self._values[rd] = self._values[rs0]
-        src = self._tracks[rs0]
-        dst = self._tracks[rd]
-        if src.fva is None:
-            dst.fva = None
-            dst.sc = src.sc
-        else:
-            dst.fva = src.fva
-            dst.sc = 1
-        self._retire()
+    # -- cycle counter ------------------------------------------------------------------
 
     def _op_rdcycle(self, d: tuple[Any, ...]) -> None:
         rd = d[1]
         if rd:
             self._values[rd] = self.time & WORD_MASK
-        track = self._tracks[rd]  # unknown variable under Table III
-        track.fva = None
-        track.sc = 1
+            track = self._tracks[rd]  # unknown variable under Table III
+            track.fva = None
+            track.sc = 1
         self._serialized = True
-        self._retire()
-
-    # -- ALU: add/sub (Table III "+/-" rules) -------------------------------------------
-
-    def _op_add_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] + values[rs1]) & WORD_MASK
-        tracks = self._tracks
-        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
-        sfva, ofva = src.fva, other.fva
-        if sfva is not None and ofva is not None:
-            dst.fva = (sfva + ofva) & WORD_MASK
-            dst.sc = 1
-        elif sfva is None and ofva is not None:
-            dst.fva = None
-            dst.sc = src.sc
-        elif sfva is not None:
-            dst.fva = None
-            dst.sc = other.sc
-        else:
-            dst.fva = None
-            ssc, osc = src.sc, other.sc
-            dst.sc = ssc if ssc < osc else osc
-        self._retire()
-
-    def _op_sub_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] - values[rs1]) & WORD_MASK
-        tracks = self._tracks
-        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
-        sfva, ofva = src.fva, other.fva
-        if sfva is not None and ofva is not None:
-            dst.fva = (sfva - ofva) & WORD_MASK
-            dst.sc = 1
-        elif sfva is None and ofva is not None:
-            dst.fva = None
-            dst.sc = src.sc
-        elif sfva is not None:
-            dst.fva = None
-            dst.sc = other.sc
-        else:
-            dst.fva = None
-            ssc, osc = src.sc, other.sc
-            dst.sc = ssc if ssc < osc else osc
-        self._retire()
-
-    def _op_add_ri(self, d: tuple[Any, ...]) -> None:
-        # Covers ``sub rd, rs, imm`` too: decode negates the immediate.
-        _, rd, rs0, imm = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] + imm) & WORD_MASK
-        tracks = self._tracks
-        src, dst = tracks[rs0], tracks[rd]
-        sfva = src.fva
-        if sfva is None:
-            # Adding an immediate offset does not change the scale.
-            dst.fva = None
-            dst.sc = src.sc
-        else:
-            dst.fva = (sfva + imm) & WORD_MASK
-            dst.sc = 1
-        self._retire()
-
-    # -- ALU: mul/shift (Table III "x" rules) -------------------------------------------
-
-    def _op_mul_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] * values[rs1]) & WORD_MASK
-        tracks = self._tracks
-        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
-        sfva, ofva = src.fva, other.fva
-        if sfva is not None and ofva is not None:
-            dst.fva = (sfva * ofva) & WORD_MASK
-            dst.sc = 1
-        elif sfva is None and ofva is not None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc * ofva)
-        elif sfva is not None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(sfva * other.sc)
-        else:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc * other.sc)
-        self.time += self._mul_cost
-        self.pc_index += 1
-        if self._speculating:
-            self.stats.transient_executed += 1
-        else:
-            self.stats.instructions_retired += 1
-
-    def _op_mul_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, imm = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] * imm) & WORD_MASK
-        tracks = self._tracks
-        src, dst = tracks[rs0], tracks[rd]
-        sfva = src.fva
-        if sfva is None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc * imm)
-        else:
-            dst.fva = (sfva * imm) & WORD_MASK
-            dst.sc = 1
-        self.time += self._mul_cost
-        self.pc_index += 1
-        if self._speculating:
-            self.stats.transient_executed += 1
-        else:
-            self.stats.instructions_retired += 1
-
-    def _op_sll_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        shift = values[rs1] & 0x3F
-        if rd:
-            values[rd] = (values[rs0] << shift) & WORD_MASK
-        tracks = self._tracks
-        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
-        sfva, ofva = src.fva, other.fva
-        if sfva is not None and ofva is not None:
-            dst.fva = (sfva << (ofva & 0x3F)) & WORD_MASK
-            dst.sc = 1
-        elif sfva is None and ofva is not None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc << (ofva & 0x3F))
-        else:
-            # Shift by an unknown amount: conservatively reinitialise.
-            dst.fva = None
-            dst.sc = 1
-        self._retire()
-
-    def _op_srl_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        shift = values[rs1] & 0x3F
-        if rd:
-            values[rd] = values[rs0] >> shift
-        tracks = self._tracks
-        src, other, dst = tracks[rs0], tracks[rs1], tracks[rd]
-        sfva, ofva = src.fva, other.fva
-        if sfva is not None and ofva is not None:
-            dst.fva = (sfva >> (ofva & 0x3F)) & WORD_MASK
-            dst.sc = 1
-        elif sfva is None and ofva is not None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc >> (ofva & 0x3F))
-        else:
-            dst.fva = None
-            dst.sc = 1
-        self._retire()
-
-    def _op_sll_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, shift = d
-        values = self._values
-        if rd:
-            values[rd] = (values[rs0] << shift) & WORD_MASK
-        tracks = self._tracks
-        src, dst = tracks[rs0], tracks[rd]
-        sfva = src.fva
-        if sfva is None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc << shift)
-        else:
-            dst.fva = (sfva << shift) & WORD_MASK
-            dst.sc = 1
-        self._retire()
-
-    def _op_srl_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, shift = d
-        values = self._values
-        if rd:
-            values[rd] = values[rs0] >> shift
-        tracks = self._tracks
-        src, dst = tracks[rs0], tracks[rd]
-        sfva = src.fva
-        if sfva is None:
-            dst.fva = None
-            dst.sc = self._clamp_sc(src.sc >> shift)
-        else:
-            dst.fva = (sfva >> shift) & WORD_MASK
-            dst.sc = 1
-        self._retire()
-
-    # -- ALU: and/or/xor (Table III "Otherwise" rule) -----------------------------------
-
-    def _op_and_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = values[rs0] & values[rs1]
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
-        self._retire()
-
-    def _op_or_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = values[rs0] | values[rs1]
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
-        self._retire()
-
-    def _op_xor_rr(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, rs1 = d
-        values = self._values
-        if rd:
-            values[rd] = values[rs0] ^ values[rs1]
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
-        self._retire()
-
-    def _op_and_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, imm = d
-        if rd:
-            self._values[rd] = self._values[rs0] & imm
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
-        self._retire()
-
-    def _op_or_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, imm = d
-        if rd:
-            self._values[rd] = self._values[rs0] | imm
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
-        self._retire()
-
-    def _op_xor_ri(self, d: tuple[Any, ...]) -> None:
-        _, rd, rs0, imm = d
-        if rd:
-            self._values[rd] = self._values[rs0] ^ imm
-        dst = self._tracks[rd]
-        dst.fva = None
-        dst.sc = 1
         self._retire()
 
     # -- control flow -------------------------------------------------------------------
@@ -881,6 +595,33 @@ class Core:
             self.stats.instructions_retired += 1
 
 
+def _register_handler(op: RegisterOp) -> Any:
+    """The per-instruction handler of one register-only kind.
+
+    Generated from the kind's table row: the lines of
+    :func:`repro.cpu.alu.write` unless ``rd`` is ``r0``, then the ending of
+    :meth:`Core._retire` with the kind's cost.
+    """
+    operands = list("ab"[: len(op.form)])
+    cost = "core._mul_cost" if op.kind in MUL_KINDS else "core._base_cost"
+    lines = [
+        f"_, rd, {', '.join(operands)} = d",
+        "if rd:",
+        "    values = core._values",
+        "    tracks = core._tracks",
+        *("    " + line for line in write(op, "rd", operands, "core._scale_cap")),
+        f"core.time += {cost}",
+        "core.pc_index += 1",
+        "if core._speculating:",
+        "    core.stats.transient_executed += 1",
+        "else:",
+        "    core.stats.instructions_retired += 1",
+    ]
+    name = "_op_" + op.name
+    source = f"def {name}(core, d):\n" + "".join(f"    {line}\n" for line in lines)
+    return define(source, name, f"<{name}>")
+
+
 def _build_dispatch() -> list[Any]:
     """Handler table indexed by the decode-kind integers (``Any`` holes
     for kinds without a handler: decode emits every kind listed here).
@@ -890,25 +631,10 @@ def _build_dispatch() -> list[Any]:
     core into a reference cycle with itself.
     """
     table: list[Any] = [None] * NUM_KINDS
+    for op in REGISTER_OPS:
+        table[op.kind] = _register_handler(op)
     table[K_LOAD] = Core._op_load
     table[K_STORE] = Core._op_store
-    table[K_LI] = Core._op_li
-    table[K_MOV] = Core._op_mov
-    table[K_ADD_RR] = Core._op_add_rr
-    table[K_SUB_RR] = Core._op_sub_rr
-    table[K_ADD_RI] = Core._op_add_ri
-    table[K_MUL_RR] = Core._op_mul_rr
-    table[K_MUL_RI] = Core._op_mul_ri
-    table[K_SLL_RR] = Core._op_sll_rr
-    table[K_SRL_RR] = Core._op_srl_rr
-    table[K_SLL_RI] = Core._op_sll_ri
-    table[K_SRL_RI] = Core._op_srl_ri
-    table[K_AND_RR] = Core._op_and_rr
-    table[K_OR_RR] = Core._op_or_rr
-    table[K_XOR_RR] = Core._op_xor_rr
-    table[K_AND_RI] = Core._op_and_ri
-    table[K_OR_RI] = Core._op_or_ri
-    table[K_XOR_RI] = Core._op_xor_ri
     table[K_BRANCH] = Core._op_branch
     table[K_JMP] = Core._op_jmp
     table[K_RDCYCLE] = Core._op_rdcycle

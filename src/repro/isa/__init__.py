@@ -6,13 +6,7 @@ moves, add/sub, mul, shifts, "other" ALU ops, memory loads/stores, cacheline
 flush, cycle-counter reads and control flow.
 """
 
-from repro.isa.instructions import (
-    ALU_OPS,
-    BRANCH_OPS,
-    Instruction,
-    MUL_LIKE_OPS,
-    OTHER_ALU_OPS,
-)
+from repro.isa.instructions import ALU_OPS, BRANCH_OPS, Instruction
 from repro.isa.program import DataSegment, Program
 from repro.isa.assembler import assemble
 from repro.isa.builder import ProgramBuilder
@@ -27,8 +21,6 @@ from repro.isa.registers import (
 __all__ = [
     "ALU_OPS",
     "BRANCH_OPS",
-    "MUL_LIKE_OPS",
-    "OTHER_ALU_OPS",
     "DataSegment",
     "Instruction",
     "Program",

@@ -38,11 +38,7 @@ from __future__ import annotations
 
 from repro.isa.registers import register_name
 
-# Opcode groups used by the core and by the Scale Tracker's Table III rules.
-ADD_LIKE_OPS = frozenset({"add", "sub"})
-MUL_LIKE_OPS = frozenset({"mul", "sll", "srl"})
-OTHER_ALU_OPS = frozenset({"and", "or", "xor"})
-ALU_OPS = ADD_LIKE_OPS | MUL_LIKE_OPS | OTHER_ALU_OPS
+ALU_OPS = frozenset({"add", "sub", "mul", "sll", "srl", "and", "or", "xor"})
 BRANCH_OPS = frozenset({"beq", "bne", "blt", "bge"})
 PREFETCH_OPS = frozenset({"prefetch", "prefetchw"})
 MEMORY_OPS = frozenset({"load", "store", "clflush"}) | PREFETCH_OPS

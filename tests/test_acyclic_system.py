@@ -14,6 +14,7 @@ import pytest
 
 from repro.attacks.replay import replay_group
 from repro.attacks.scenarios import defense_spec
+from repro.cpu.blocks import compile_blocks
 from repro.cpu.core import CoreConfig
 from repro.experiments import common, table4
 from repro.runner import ScenarioJob, SimJob
@@ -104,3 +105,15 @@ def test_snapshot_restore_run_leaves_no_cycles():
         system.run()
 
     assert _cyclic_garbage(run) == 0
+
+
+def test_dropped_block_tables_leave_no_cycles():
+    """A compiled block table evicted from its LRU is freed by refcount."""
+    decoded = get_workload(WORKLOAD).program(SCALE).decoded
+
+    def compile_and_drop():
+        compile_blocks.cache_clear()
+        assert compile_blocks(decoded, 1, 3, 1, 4096, True)
+        compile_blocks.cache_clear()
+
+    assert _cyclic_garbage(compile_and_drop) == 0

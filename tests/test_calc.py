@@ -1,17 +1,27 @@
-"""Table III rules in the calculation buffer — the Scale Tracker's core."""
+"""Table III rules — the Scale Tracker's core.
+
+Every case runs on three targets (``calc_targets.EveryTarget``): the naive
+reference, and a real core with compiled blocks off and on.
+"""
 
 import pytest
+from calc_targets import EveryTarget
 
-from repro.core.calc import CalculationBuffer
+from repro.cpu.core import Core, CoreConfig
+from repro.isa.assembler import assemble
+from repro.mem.hierarchy import MemoryHierarchy
+from repro.sim.config import PrefetcherSpec, SystemConfig
+from repro.sim.simulator import run_programs
 
 
 @pytest.fixture
 def calc():
-    return CalculationBuffer()
+    return EveryTarget()
 
 
 def test_initial_state(calc):
-    for reg in range(8):
+    assert calc.fva_of(0) == 0 and calc.scale_of(0) == 1  # r0: the constant
+    for reg in range(1, 8):
         assert calc.fva_of(reg) is None
         assert calc.scale_of(reg) == 1
 
@@ -189,8 +199,7 @@ def test_move_of_constant(calc):
 
 # --- saturation / paper example ---------------------------------------------------
 
-def test_scale_saturates_at_cap():
-    calc = CalculationBuffer(scale_cap=4096)
+def test_scale_saturates_at_cap(calc):
     calc.load_from_memory(1)
     for _ in range(20):
         calc.alu("mul", 1, 1, imm=2)
@@ -211,7 +220,7 @@ def test_mul_by_zero_clamps_scale(calc):
 
 def test_figure5_example(calc):
     """The paper's Fig. 5: array[secret*0x200] with arr base immediate."""
-    calc.load_from_memory(0)          # r0: secret's address (from memory)
+    calc.load_from_memory(6)          # r6: secret's address (from memory)
     calc.load_from_memory(1)          # r1: secret value
     calc.load_immediate(2, 0x8000)    # r2: arr_addr
     calc.load_immediate(3, 0x200)     # r3: 0x200
@@ -227,3 +236,86 @@ def test_reset(calc):
     calc.load_immediate(1, 5)
     calc.reset()
     assert calc.fva_of(1) is None and calc.scale_of(1) == 1
+    assert calc.fva_of(0) == 0 and calc.scale_of(0) == 1
+
+
+# --- r0: hard-wired zero, so its track is the constant -----------------------------
+
+def test_r0_reads_as_a_fixed_zero(calc):
+    calc.load_immediate(1, 0x200)
+    calc.alu("add", 2, 0, rs1=1)      # r2 = 0 + 0x200 depends on immediates only
+    assert calc.fva_of(2) == 0x200
+    assert calc.scale_of(2) == 1
+
+
+def test_writes_to_r0_leave_its_track(calc):
+    calc.load_immediate(1, 0x200)
+    calc.load_immediate(0, 5)         # discarded: r0 stays 0
+    calc.alu("add", 3, 0, rs1=1)
+    assert calc.fva_of(3) == 0x200
+
+
+def test_r0_multiplier_gives_no_scale(calc):
+    calc.load_from_memory(4)
+    calc.load_immediate(0, 0x200)
+    calc.alu("mul", 5, 4, rs1=0)      # r5 = r4 * 0 is 0, whatever r4 is
+    assert calc.fva_of(5) is None
+    assert calc.scale_of(5) == 1
+
+
+_R0_PREAMBLE = """
+.data 0x2000 stride=8 7
+li r1, 0x2000
+load r4, 0(r1)
+mul r4, r4, 0x200
+"""
+
+
+@pytest.mark.parametrize("blocks", [False, True], ids=["handlers", "blocks"])
+@pytest.mark.parametrize(
+    "writer",
+    [
+        "li zero, 0x200",
+        "mov zero, r4",
+        "add zero, r4, r1",
+        "mul zero, r4, 0x40",
+        "load zero, 0(r1)",
+        "rdcycle zero",
+    ],
+)
+def test_no_instruction_writes_r0(writer, blocks):
+    program = assemble(_R0_PREAMBLE + writer + "\nhalt\n")
+    hierarchy = MemoryHierarchy(num_cores=1)
+    hierarchy.memory.load_program_data(program)
+    core = Core(0, program, hierarchy, CoreConfig(fuse_countdown_loops=blocks))
+    while not core.halted:
+        core.step()
+    assert core.regs.read(0) == 0
+    assert (core.calc.fva_of(0), core.calc.scale_of(0)) == (0, 1)
+
+
+@pytest.mark.parametrize("blocks", [False, True], ids=["handlers", "blocks"])
+@pytest.mark.parametrize(
+    ("multiplier", "decoys"), [("zero", [{}]), ("r7", [{"st": 1}])]
+)
+def test_r0_multiplier_issues_no_scale_tracker_decoy(multiplier, decoys, blocks):
+    """``r5 = r4 * r0`` is 0, so a load based on it has no scale for the
+    Scale Tracker.  With the loaded r4 also 0, ``r4 * r7`` is 0 too, but
+    scaled by 0x200: the same load gets its decoy."""
+    program = assemble(
+        f"""
+        .data 0x2000 stride=8 0
+        li r1, 0x2000
+        load r4, 0(r1)
+        li zero, 0x200
+        li r7, 0x200
+        mul r5, r4, {multiplier}
+        load r6, 0x10000(r5)
+        halt
+        """
+    )
+    config = SystemConfig(
+        prefetcher=PrefetcherSpec(kind="prefender"),
+        core=CoreConfig(fuse_countdown_loops=blocks),
+    )
+    assert run_programs([program], config).prefetch_counts == decoys

@@ -1,10 +1,10 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from calc_targets import EveryTarget
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.access_buffer import AccessBuffer
-from repro.core.calc import CalculationBuffer
 from repro.core.scale_buffer import ScaleBuffer
 from repro.mem.cache import Cache, MemoryPort
 from repro.mem.memory import MainMemory
@@ -36,6 +36,9 @@ def test_page_contains_block(addr):
 
 
 # --- calculation buffer ------------------------------------------------------------
+#
+# Each property runs on the naive reference and on a real core with compiled
+# blocks off and on (``calc_targets.EveryTarget``).
 
 @given(
     st.lists(
@@ -49,7 +52,7 @@ def test_page_contains_block(addr):
     )
 )
 def test_calc_scale_always_positive_and_capped(operations):
-    calc = CalculationBuffer(scale_cap=4096)
+    calc = EveryTarget()
     calc.load_from_memory(1)
     calc.load_immediate(2, 0x40)
     for op, rd, rs, imm in operations:
@@ -60,7 +63,7 @@ def test_calc_scale_always_positive_and_capped(operations):
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1), small_ints)
 def test_calc_valid_fva_tracks_arithmetic(value, imm):
-    calc = CalculationBuffer()
+    calc = EveryTarget()
     calc.load_immediate(1, value)
     calc.alu("add", 2, 1, imm=imm)
     assert calc.fva_of(2) == (value + imm) & ((1 << 64) - 1)
@@ -69,7 +72,7 @@ def test_calc_valid_fva_tracks_arithmetic(value, imm):
 
 @given(st.integers(min_value=65, max_value=4095))
 def test_calc_mul_rule_produces_requested_scale(scale):
-    calc = CalculationBuffer()
+    calc = EveryTarget()
     calc.load_from_memory(1)
     calc.alu("mul", 2, 1, imm=scale)
     assert calc.scale_of(2) == scale
