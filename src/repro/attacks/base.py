@@ -10,6 +10,7 @@ PREFENDER's goal is to make that set ambiguous (Sec. V-B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any, ClassVar
 
 from repro.attacks.layout import L1_SET_SPAN, AttackLayout, AttackOptions
@@ -158,6 +159,14 @@ class CacheAttack:
         Returns ``(system, resolved_config)``.  Split out of :meth:`run` so
         the snapshot-replay runner (:mod:`repro.attacks.replay`) can build
         once, warm up, and re-simulate many trials off a restored image.
+
+        Programs come from a memo of the :data:`PROGRAM_MEMO_SIZE` most
+        recent builds, keyed on the attack class, its full options (secret
+        included) and its layout; the system config is not in the key,
+        because no defense changes a program.  So the six defense rows of
+        one (victim, attack) pair share one build, and a run that is not
+        replayed still gets its own secret's data word.  Every system
+        built from a memo entry only reads its finalized programs.
         """
         config = system_config or SystemConfig()
         config = replace(
@@ -165,8 +174,8 @@ class CacheAttack:
             num_cores=self.num_cores,
             core=self.adjust_core_config(config.core),
         )
-        programs = self.build_programs()
-        return build_system(programs, config), config
+        programs = _programs(type(self), self.options, self.layout)
+        return build_system(list(programs), config), config
 
     def classify(
         self, system: System, config: SystemConfig, result: RunResult
@@ -196,3 +205,18 @@ class CacheAttack:
         system, config = self.prepare(system_config)
         result = system.run(max_steps=max_steps)
         return self.classify(system, config, result)
+
+
+#: Program sets :meth:`CacheAttack.prepare` keeps.  A batch runs its cells
+#: in the order their trials were first submitted, which may interleave
+#: (victim, attack) pairs, so the memo holds every pair of the 15-pair
+#: default grid at once, with room to spare.
+PROGRAM_MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=PROGRAM_MEMO_SIZE)
+def _programs(
+    attack_cls: type[CacheAttack], options: AttackOptions, layout: AttackLayout
+) -> tuple[Program, ...]:
+    """One attack's finalized programs; a tuple, so no caller can extend it."""
+    return tuple(attack_cls(options, layout).build_programs())

@@ -8,11 +8,15 @@ is therefore bit-identical across trials up to the victim's first load of
 that word: the attacker's whole prepare phase, the cross-core handshake,
 the program build and the system construction are all shared prefix.
 
-:func:`replay_group` exploits that: it builds the cell's system once, runs
-it up to (but not including) the first demand load of the secret word,
+:func:`replay_group` exploits that: it builds the cell's system once, from
+the cell's secret-neutral job (:func:`neutral_job`, secret 0), runs it up
+to (but not including) the first demand load of the secret word,
 snapshots, and then serves every trial by ``restore -> poke(secret) ->
-run-to-completion -> classify``.  The memory patch is sound because cache
-lines carry metadata only — data values are always read from
+run-to-completion -> classify``.  Since no build carries a trial's secret,
+the six defense rows of a (victim, attack) pair ask
+:meth:`~repro.attacks.base.CacheAttack.prepare` for the same programs, and
+its memo builds them once for all six.  The memory patch is sound because
+cache lines carry metadata only — data values are always read from
 ``MainMemory`` at access time — and :meth:`MainMemory.poke` leaves the
 read/write counters untouched, so a replayed trial is state-for-state
 identical to a rebuilt one (``tests/test_scenarios.py`` pins byte
@@ -44,17 +48,28 @@ def replay_eligible(job: ScenarioJob) -> bool:
     return job.options.victim_mode == "direct"
 
 
+def neutral_job(job: ScenarioJob) -> ScenarioJob:
+    """``job`` with its trial secret set to 0: what its whole cell shares.
+
+    Every trial pokes its own secret before the victim first loads it, so
+    the neutral job's build serves every secret of the cell.
+    """
+    return replace(job, options=replace(job.options, secret=0))
+
+
 def replay_group_key(job: ScenarioJob) -> str:
-    """Content key of a trial's cell: the job with its secret neutralised.
+    """Content key of a trial's cell: the key of its :func:`neutral_job`.
 
     Two jobs share a warm snapshot iff they differ *only* in the trial
     secret; deriving the group key through the same structural fingerprint
     as :func:`repro.runner.job.job_key` means any new config field splits
-    groups automatically instead of silently sharing a stale image.
+    groups automatically instead of silently sharing a stale image.  The
+    group's warm system is built from this same neutral job, so key and
+    build agree by construction.
     """
     from repro.runner.job import job_key
 
-    return job_key(replace(job, options=replace(job.options, secret=0)))
+    return job_key(neutral_job(job))
 
 
 @dataclass(frozen=True)
@@ -78,10 +93,16 @@ class ScenarioReplayJob:
 
 
 def replay_group(jobs: list[ScenarioJob]) -> list[ScenarioProbe]:
-    """Serve a cell's trials off one warmed snapshot, in input order."""
+    """Serve a cell's trials off one warmed snapshot, in input order.
+
+    The warm system is built from the cell's :func:`neutral_job`, not from
+    any member, so its programs are the ones every cell of the same
+    (victim, attack) pair asks for; each trial is still classified with its
+    own options.
+    """
     from repro.runner.job import ATTACK_KINDS
 
-    base = jobs[0]
+    base = neutral_job(jobs[0])
     attack_cls = ATTACK_KINDS[base.attack]
     attack = attack_cls(base.options)
     system, config = attack.prepare(base.system)

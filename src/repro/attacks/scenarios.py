@@ -198,9 +198,10 @@ def run(
 ) -> ScenarioResult:
     """Run and score the whole grid through one ``run_batch``.
 
-    ``reuse_snapshots`` (default on) builds each cell's system once, warms
+    ``reuse_snapshots`` (default on) builds each (victim, attack) pair's
+    programs once for every defense row and each cell's system once, warms
     it to the victim's secret load, and replays every trial secret off the
-    restored snapshot — byte-identical probes, a multiple faster (see
+    restored snapshot — byte-identical probes, about twice as fast (see
     README "Crypto-victim scenarios"); pass ``False`` to force the
     rebuild-per-trial path.
     """

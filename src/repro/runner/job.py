@@ -79,6 +79,10 @@ ADVERSARIAL_PREFETCH_VARIANTS = {
 }
 
 
+#: Instance-dict slot where a ``SystemConfig`` keeps its own fingerprint.
+_FINGERPRINT = "_fingerprint"
+
+
 def fingerprint(value: object) -> object:
     """Canonical JSON-able projection of a job or config value.
 
@@ -86,14 +90,30 @@ def fingerprint(value: object) -> object:
     their class name; containers recurse; scalars pass through.  Anything
     unrecognised is an error — silence here is exactly the bug this module
     replaces.
+
+    A ``SystemConfig`` is walked once per instance and its projection kept
+    on that instance: a grid shares one config object between every job of
+    a defense row, so each later key walks only the job's own fields.  The
+    cache follows identity, never equality (``1``, ``1.0`` and ``True``
+    compare equal but fingerprint differently), and a ``replace``d config is
+    a new object that walks afresh.  Every key of a config shares its cached
+    dict, so no caller may mutate it; :func:`job_key` and
+    :meth:`~repro.runner.store.ResultStore.put` only serialise it.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out: dict[str, object] = {"__class__": type(value).__name__}
-        for f in dataclasses.fields(value):
-            out[f.name] = fingerprint(getattr(value, f.name))
-        return out
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, SystemConfig):
+        cached = value.__dict__.get(_FINGERPRINT)
+        if cached is None:
+            cached = _fields(value)
+            # Frozen dataclasses refuse setattr.  Writing the instance dict
+            # keeps the cache out of the dataclass fields, so ==, hash,
+            # replace() and fields() never see it, and it dies with the
+            # object.
+            value.__dict__[_FINGERPRINT] = cached
+        return cached
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _fields(value)
     if isinstance(value, (list, tuple)):
         return [fingerprint(item) for item in value]
     if isinstance(value, dict):
@@ -101,6 +121,14 @@ def fingerprint(value: object) -> object:
     raise ConfigError(
         f"cannot fingerprint {type(value).__name__!r} into a job key"
     )
+
+
+def _fields(value: Any) -> dict[str, object]:
+    """A dataclass instance's class name and every field, fingerprinted."""
+    out: dict[str, object] = {"__class__": type(value).__name__}
+    for f in dataclasses.fields(value):
+        out[f.name] = fingerprint(getattr(value, f.name))
+    return out
 
 
 def job_key(job: object) -> str:

@@ -9,20 +9,25 @@ field sets structurally so a newly added knob can never fall out again.
 """
 
 import dataclasses
+import hashlib
 from dataclasses import replace
 
 import pytest
 
+from repro.attacks.replay import replay_group_key
+from repro.attacks.scenarios import DEFAULT_ATTACKS, DEFAULT_VICTIMS, build_grid
 from repro.core.config import PrefenderConfig
 from repro.cpu.core import CoreConfig
 from repro.errors import ConfigError
 from repro.experiments import common, table4
 from repro.mem.hierarchy import HierarchyConfig
 from repro.runner import (
+    KEY_VERSION,
     ResultStore,
     ScenarioJob,
     SimJob,
     SimResult,
+    fingerprint,
     job_key,
     run_batch,
 )
@@ -99,6 +104,50 @@ def test_job_key_covers_every_config_field():
             assert any(
                 spec_field.name in path.split(".") for path in seen_paths
             ), f"{config_cls.__name__}.{spec_field.name} never perturbed"
+
+
+#: sha256 over the newline-joined keys of the 1,440-trial security grid
+#: (``build_grid(DEFAULT_VICTIMS, DEFAULT_ATTACKS, common.DEFENSES, 16)``),
+#: in build order, and over its 90 distinct replay-group keys, in first-seen
+#: order.
+GRID_JOB_KEYS_SHA256 = "9e7a802a4e965c529caad4a5426d4b2a7ee91af52da26d036e7cfb4797f61168"
+GRID_GROUP_KEYS_SHA256 = "7a0faf4b1599cd187a7edbce38df3b1500ae4b0a28e728ba61d9bb5b09e13734"
+
+
+def _digest(keys):
+    return hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
+
+
+def test_security_grid_keys_do_not_move():
+    """Caching a config's fingerprint must not move a single key: every
+    stored probe stays reachable under ``KEY_VERSION`` 2."""
+    _, jobs = build_grid(DEFAULT_VICTIMS, DEFAULT_ATTACKS, common.DEFENSES, 16)
+    keys = [job.key() for job in jobs]
+    groups = list(dict.fromkeys(replay_group_key(job) for job in jobs))
+    assert (len(keys), len(groups)) == (1440, 90)
+    assert _digest(keys) == GRID_JOB_KEYS_SHA256
+    assert _digest(groups) == GRID_GROUP_KEYS_SHA256
+    # A second round reads every config's cached projection.
+    assert [job.key() for job in jobs] == keys
+    assert KEY_VERSION == 2
+
+
+@pytest.mark.parametrize("first, second", [(1, True), (True, 1)])
+def test_config_fingerprint_cache_follows_identity(first, second):
+    """``1`` and ``True`` compare equal but fingerprint differently, so a
+    config's cached projection belongs to that instance, never to an equal
+    one keyed earlier."""
+    cached = SystemConfig(num_cores=first)
+    other = SystemConfig(num_cores=second)
+    assert cached == other and hash(cached) == hash(other)
+    cached_key = job_key(cached)
+    assert fingerprint(cached) is fingerprint(cached)
+    assert job_key(other) != cached_key
+    assert type(fingerprint(other)["num_cores"]) is type(second)
+    # The cache is no field: equality, replace() and fields() ignore it.
+    assert cached == SystemConfig(num_cores=first)
+    assert job_key(replace(cached)) == cached_key
+    assert "_fingerprint" not in {f.name for f in dataclasses.fields(cached)}
 
 
 def test_attack_job_key_covers_every_field():

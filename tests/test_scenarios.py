@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.attacks import leakage, scenarios
+from repro.attacks import base, leakage, scenarios
 from repro.attacks.layout import AttackOptions
 from repro.errors import ConfigError
+from repro.experiments import common
+from repro.isa.builder import ProgramBuilder
 from repro.runner import ScenarioJob, ScenarioProbe, run_batch
 from repro.sim.config import SystemConfig
 from repro.workloads.crypto import (
@@ -264,25 +266,79 @@ def test_scenario_probe_carries_defense_stats():
     assert stats["protections"] >= 1
 
 
+def _rotate_cells(jobs, secrets, shift):
+    """``build_grid``'s jobs with cell ``i``'s trials rotated ``shift(i)``
+    places, so the cell is submitted starting at another secret."""
+    rotated = []
+    for index, start in enumerate(range(0, len(jobs), secrets)):
+        cell = jobs[start : start + secrets]
+        places = shift(index) % secrets
+        rotated.extend(cell[places:] + cell[:places])
+    return rotated
+
+
 def test_reuse_snapshots_matches_rebuild_across_job_counts():
-    """PR-7 regression: warm-snapshot replay must be byte-identical to the
-    rebuild-per-trial path, sequentially and under process sharding."""
-    grid = dict(
-        victims=("ecdsa-window",),
-        attacks=("evict-reload",),
-        defenses=("Base", "FULL"),
-        secrets=4,
+    """Warm-snapshot replay must be byte-identical to the rebuild-per-trial
+    path, sequentially and under process sharding, for every default
+    (victim, attack) pair.  Every cell leads with a nonzero secret, so its
+    first job is not the secret-neutral job that replay builds from."""
+    _, jobs = scenarios.build_grid(
+        scenarios.DEFAULT_VICTIMS, scenarios.DEFAULT_ATTACKS, ("Base", "FULL"), 3
     )
-    rebuilt = scenarios.run(**grid, jobs=1, reuse_snapshots=False)
-    expected = [
-        probe.to_json() for cell in rebuilt.cells for probe in cell.probes
+    assert len(jobs) == 15 * 2 * 3
+    jobs = _rotate_cells(jobs, 3, lambda cell: 1)
+    assert all(job.options.secret != 0 for job in jobs[::3])
+    rebuilt = run_batch(jobs, workers=1, reuse_snapshots=False)
+    expected = [probe.to_json() for probe in rebuilt]
+    for workers in (1, 4):
+        reused = run_batch(jobs, workers=workers, reuse_snapshots=True)
+        observed = [probe.to_json() for probe in reused]
+        assert observed == expected, f"replay diverged from rebuild at jobs={workers}"
+
+
+@pytest.mark.parametrize(
+    "attack, programs_per_pair",
+    [("flush-reload", 1), ("adversarial-prefetch-a2", 2)],
+)
+def test_replay_builds_a_pair_once_across_defense_rows(
+    attack, programs_per_pair, monkeypatch
+):
+    """One replayed batch of one victim under all six defense rows builds
+    the pair's programs once.  The rows lead with different secrets, so a
+    build from each row's first job would build once per leading secret."""
+    _, jobs = scenarios.build_grid(("aes-ttable",), (attack,), common.DEFENSES, 3)
+    assert len(jobs) == 6 * 3
+    jobs = _rotate_cells(jobs, 3, lambda row: row)
+    assert len({job.options.secret for job in jobs[::3]}) == 3
+    built = []
+    original = ProgramBuilder.build
+
+    def counting_build(builder, *args, **kwargs):
+        built.append(builder)
+        return original(builder, *args, **kwargs)
+
+    monkeypatch.setattr(ProgramBuilder, "build", counting_build)
+    base._programs.cache_clear()
+    run_batch(jobs, workers=1, reuse_snapshots=True)
+    assert len(built) == programs_per_pair
+
+
+def test_unreplayed_runs_keep_their_own_secret():
+    """Without replay, each run's programs carry its own secret: the memo
+    keys on it, so back-to-back secrets of one cell probe exactly as builds
+    from an empty memo do."""
+    system = SystemConfig(prefetcher=scenarios.defense_spec("Base"))
+    jobs = [
+        ScenarioJob.build("flush-reload", system, victim="aes-ttable", secret=secret)
+        for secret in (3, 9)
     ]
-    for jobs in (1, 4):
-        reused = scenarios.run(**grid, jobs=jobs, reuse_snapshots=True)
-        observed = [
-            probe.to_json() for cell in reused.cells for probe in cell.probes
-        ]
-        assert observed == expected, f"replay diverged from rebuild at jobs={jobs}"
+    fresh = []
+    for job in jobs:
+        base._programs.cache_clear()
+        fresh.append(job.run())
+    assert all(probe.succeeded for probe in fresh)
+    base._programs.cache_clear()
+    assert [job.run() for job in jobs] == fresh
 
 
 def test_reuse_snapshots_caches_individual_trials(tmp_path):
