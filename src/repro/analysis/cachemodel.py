@@ -420,7 +420,7 @@ class HierarchyState:
     ``addr=None`` is an access whose address the analysis could not
     resolve: it havocs the accessing core's L1 and the L2.  For loads,
     stores and prefetches that path is single-core, because it models no
-    steal or write-invalidate; the scenario product walker raises
+    steal or write-invalidate; a walk over more than one core raises
     ``_Unresolved`` before it would ever issue one.
     """
 
@@ -568,10 +568,10 @@ class HierarchyState:
         The simulator drops a prefetch only when the line misses the L1
         *and* no prefetch MSHR is free.  A blocking core pays the full fill
         latency before its next access, so the MSHR is free again by then
-        and the prefetch completes: the product walk's case, which
+        and the prefetch completes: a multi-core walk's case, which
         ``tests/test_certify_oracle.py`` pins against the simulator.  An
         OoO core such as ``PERF_CORE`` may issue its next access while the
-        MSHR is still busy; the timing walk passes ``may_drop=True``, and
+        MSHR is still busy; a one-core walk passes ``may_drop=True``, and
         an L1 miss then joins the filled state with the untouched one and
         widens the interval down to the L1 latency a dropped prefetch pays.
 

@@ -8,17 +8,17 @@ destroying the attacker's observation.  Three layers:
 * **Product walk** — the attacker and victim CFGs execute as an
   interleaved product over one shared
   :class:`~repro.analysis.cachemodel.HierarchyState` (one core per
-  program) and one shared memory image, mirroring
-  :meth:`repro.cpu.system.System.run_steps` exactly: at every step the
-  non-halted core with the smallest local time executes one instruction
-  (strict ``<`` keeps the lower-index core on ties), with :func:`repro.analysis.timing._walk`'s per-instruction
-  semantics (rdcycle, the serialising flag, countdown-loop fusion, the
-  OoO hide window).  Under exact times the scheduler's schedule set is a
-  *singleton*, so the sound interleaving join over producible schedule
+  program) and one shared memory image: :func:`repro.analysis.timing._run`,
+  the walker :func:`~repro.analysis.timing.timing_map` runs with one core.
+  Its scheduler is :meth:`repro.cpu.system.System.run_steps`'s: at every
+  step the non-halted core with the smallest local time executes one
+  instruction (strict ``<`` keeps the lower-index core on ties).  With
+  more than one core the times must stay exact, so the schedule set is a
+  *singleton* and the sound interleaving join over producible schedule
   points degenerates to the one schedule the simulator runs; the moment
   any latency interval widens the walker gives up and the verdict is
-  ``UNKNOWN`` — never a guess.  Single-program attacks reuse
-  :func:`~repro.analysis.timing._walk` unchanged.
+  ``UNKNOWN`` — never a guess.  A single-program attack walks one core
+  with the timing walk's own semantics.
 * **Observation** — the walk computes the attacker's *own measurements*:
   the rdcycle deltas its probe loop stores into the results array.  Those
   latencies classify into a candidate set with the attack's published
@@ -26,10 +26,10 @@ destroying the attacker's observation.  Three layers:
   of :class:`repro.attacks.base.AttackOutcome`.  Each (victim, attack)
   pair is built once, and its walk is finished once per trial secret with
   only the data word at ``AttackLayout.secret_addr`` changed; that yields
-  the attacker-observable vector per secret.  A product walk runs once to
-  just before the first load of that word (the stop rule of
-  :func:`repro.attacks.replay._run_to_watch`) and forks there per secret;
-  a single-program walk starts from t=0 for each secret.
+  the attacker-observable vector per secret.  The walk, over one core or
+  two, runs once to just before the first load of that word (the stop
+  rule of :func:`repro.attacks.replay._run_to_watch`) and forks there per
+  secret.
 * **Verdict** — :func:`certify` compares observables across secrets and
   applies the defense's abstract transformer
   (:mod:`repro.analysis.defense`): ``LEAKS`` when some secret pair stays
@@ -45,7 +45,8 @@ success >= 0.9 undefended, DEFENDED cells measure 0.00, and the static
 grid reproduces PR 5's ``1.00 -> 0.00`` PREFENDER result without running
 a single simulation.
 
-Scope notes.  Software prefetches are modelled as completing fills (see
+Scope notes.  Software prefetches are modelled as completing fills on
+two cores and as possibly dropped on one (see
 :meth:`~repro.analysis.cachemodel.HierarchyState.prefetch`); speculative
 victims and whole-run timing channels (Evict+Time) are out of scope and
 certify as ``UNKNOWN``.
@@ -57,7 +58,6 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.cachemodel import HierarchyState
-from repro.analysis.dataflow import _transfer
 from repro.analysis.defense import (
     COVERAGE_CERTAIN,
     COVERAGE_NONE,
@@ -67,29 +67,15 @@ from repro.analysis.defense import (
     havoc_reach,
     scale_trigger_satisfiable,
 )
-from repro.analysis.taint import _branch_taken
 from repro.analysis.timing import (
     DEFAULT_WALK_STEPS,
-    _charged,
-    _fused_iterations,
-    _initial_memory,
-    _walk,
+    _run,
+    _Unresolved,
+    _WalkState,
 )
-from repro.cpu.alu import MUL_KINDS
 from repro.cpu.core import CoreConfig
 from repro.errors import ConfigError
-from repro.isa.decode import (
-    K_BRANCH,
-    K_CLFLUSH,
-    K_FENCE,
-    K_HALT,
-    K_JMP,
-    K_LOAD,
-    K_PREFETCH,
-    K_RDCYCLE,
-    K_STORE,
-)
-from repro.isa.registers import WORD_MASK, ZERO_REGISTER
+from repro.isa.registers import WORD_MASK
 from repro.mem.hierarchy import HierarchyConfig
 
 #: Verdict labels (stable — CLI JSON output uses them).
@@ -113,14 +99,6 @@ SUPPORTED_ATTACKS = frozenset(
 #: Default defense rows certified by ``analyze --certify`` (the dynamic
 #: grid's own default pair).
 DEFAULT_DEFENSE_ROWS = ("Base", "FULL")
-
-
-class _Unresolved(Exception):
-    """The walk (or its classification) lost precision; verdict UNKNOWN."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -164,242 +142,6 @@ class CertificationReport:
         return self.count(UNKNOWN) / len(self.cells)
 
 
-# -- product walk ----------------------------------------------------------------
-
-
-class _CoreWalk:
-    """Exact per-core walker state (registers, pc, local time)."""
-
-    __slots__ = ("core_id", "decoded", "n", "regs", "pc", "time", "serialized")
-
-    def __init__(self, core_id: int, decoded: tuple[tuple[Any, ...], ...]) -> None:
-        self.core_id = core_id
-        self.decoded = decoded
-        self.n = len(decoded)
-        self.regs: dict[int, int] = {ZERO_REGISTER: 0}
-        self.pc = 0
-        self.time = 0
-        self.serialized = False
-
-    def reg(self, index: int) -> int:
-        if index == ZERO_REGISTER:
-            return 0
-        value = self.regs.get(index)
-        if value is None:
-            raise _Unresolved(
-                f"core {self.core_id}: register r{index} unknown at pc {self.pc}"
-            )
-        return value
-
-    def copy(self) -> "_CoreWalk":
-        dup = _CoreWalk.__new__(_CoreWalk)
-        dup.core_id = self.core_id
-        dup.decoded = self.decoded
-        dup.n = self.n
-        dup.regs = dict(self.regs)
-        dup.pc = self.pc
-        dup.time = self.time
-        dup.serialized = self.serialized
-        return dup
-
-    def _exact(self, lo: int, hi: int) -> int:
-        if lo != hi:
-            raise _Unresolved(
-                f"core {self.core_id}: access latency widened to "
-                f"{lo}..{hi} at pc {self.pc}"
-            )
-        return lo
-
-    def step(
-        self,
-        shared: HierarchyState,
-        memory: dict[int, int],
-        config: CoreConfig,
-        fuse: bool,
-    ) -> bool:
-        """Execute one instruction; returns True when the core halts.
-
-        Mirrors :func:`repro.analysis.timing._walk` instruction for
-        instruction, with memory/cache effects routed through the shared
-        multi-core state.  Any precision loss raises :class:`_Unresolved`.
-        """
-        if not 0 <= self.pc < self.n:
-            raise _Unresolved(
-                f"core {self.core_id}: pc {self.pc} escaped the program"
-            )
-        tup = self.decoded[self.pc]
-        kind = tup[0]
-        base = config.base_cost
-        branch_cost = config.branch_cost
-        if kind == K_LOAD:
-            _, rd, rs0, imm, _pc = tup
-            addr = (self.reg(rs0) + imm) & WORD_MASK
-            interval = shared.load(self.core_id, addr)
-            lo, hi = _charged(interval, config, self.serialized)
-            self.serialized = False
-            self.time += self._exact(lo, hi)
-            if rd != ZERO_REGISTER:
-                self.regs[rd] = memory.get(addr, 0) & WORD_MASK
-            self.pc += 1
-        elif kind == K_STORE:
-            _, rs0, rs1, imm, _pc = tup
-            addr = (self.reg(rs1) + imm) & WORD_MASK
-            value = self.reg(rs0)
-            interval = shared.store(self.core_id, addr)
-            self.time += self._exact(interval.lo, interval.hi)
-            memory[addr] = value & WORD_MASK
-            self.pc += 1
-        elif kind == K_CLFLUSH:
-            _, rs0, imm = tup
-            addr = (self.reg(rs0) + imm) & WORD_MASK
-            interval = shared.flush(self.core_id, addr)
-            self.time += self._exact(interval.lo, interval.hi)
-            self.pc += 1
-        elif kind == K_PREFETCH:
-            _, rs0, imm, write = tup
-            addr = (self.reg(rs0) + imm) & WORD_MASK
-            interval = shared.prefetch(self.core_id, addr, bool(write))
-            lo, hi = _charged(interval, config, self.serialized)
-            self.serialized = False
-            self.time += self._exact(lo, hi)
-            self.pc += 1
-        elif kind == K_BRANCH:
-            _, cond, rs0, rs1, target = tup
-            a = self.reg(rs0)
-            b = self.reg(rs1)
-            if not isinstance(target, int) or not 0 <= target < self.n:
-                raise _Unresolved(
-                    f"core {self.core_id}: branch target {target!r} invalid"
-                )
-            taken = _branch_taken(cond, a, b)
-            self.time += branch_cost
-            index = self.pc
-            self.pc = target if taken else self.pc + 1
-            if fuse and taken and target == index - 1:
-                # Countdown fusion is schedule-safe: the fused window
-                # executes only register arithmetic (no memory or cache
-                # effects), so the other core's interleaved events observe
-                # identical shared state.
-                skipped = _fused_iterations(self.decoded, index, self.regs)
-                if skipped:
-                    self.regs[rs0] = 1
-                    self.time += skipped * (base + branch_cost)
-        elif kind == K_JMP:
-            target = tup[1]
-            if not isinstance(target, int) or not 0 <= target < self.n:
-                raise _Unresolved(
-                    f"core {self.core_id}: jump target {target!r} invalid"
-                )
-            self.time += branch_cost
-            self.pc = target
-        elif kind == K_RDCYCLE:
-            rd = tup[1]
-            if rd != ZERO_REGISTER:
-                self.regs[rd] = self.time & WORD_MASK
-            self.serialized = True
-            self.time += base
-            self.pc += 1
-        elif kind == K_FENCE:
-            self.serialized = True
-            self.time += base
-            self.pc += 1
-        elif kind == K_HALT:
-            self.time += base
-            return True
-        else:
-            _transfer(self.regs, tup)
-            self.time += base if kind not in MUL_KINDS else config.mul_cost
-            self.pc += 1
-        return False
-
-
-def _merged_memory(programs: Sequence[Any]) -> dict[int, int]:
-    """Shared word store at t=0: every program's data segments, in order.
-
-    Mirrors :func:`repro.sim.simulator.build_system` loading each
-    program's data into the one shared main memory.
-    """
-    memory: dict[int, int] = {}
-    for program in programs:
-        for address, value in _initial_memory(program, {}).items():
-            if value is not None:
-                memory[address] = value
-    return memory
-
-
-class _ProductState:
-    """Everything a product-walk step reads or writes, so a walk can fork.
-
-    ``active`` holds the cores that have not halted; ``steps`` counts the
-    steps taken so far against the walk's budget.
-    """
-
-    __slots__ = ("shared", "memory", "active", "steps")
-
-    def __init__(self, programs: Sequence[Any], hconfig: HierarchyConfig) -> None:
-        self.shared = HierarchyState(hconfig, num_cores=len(programs))
-        self.memory = _merged_memory(programs)
-        self.active = [
-            _CoreWalk(core_id, tuple(program.decoded))
-            for core_id, program in enumerate(programs)
-            if program.decoded
-        ]
-        self.steps = 0
-
-    def copy(self) -> "_ProductState":
-        dup = _ProductState.__new__(_ProductState)
-        dup.shared = self.shared.copy()
-        dup.memory = dict(self.memory)
-        dup.active = [core.copy() for core in self.active]
-        dup.steps = self.steps
-        return dup
-
-
-def _product_walk(
-    state: _ProductState,
-    config: CoreConfig,
-    budget: int,
-    watch: int | None = None,
-) -> bool:
-    """Advance an interleaved product walk in place.
-
-    Scheduling is byte-identical to :meth:`repro.cpu.system.System.run_steps`:
-    the non-halted core with the smallest local time steps next, strict
-    ``<`` keeping the lower-index core on ties.  With ``watch`` set, the
-    walk stops *before* the scheduled core executes a load whose effective
-    address is ``watch`` and returns True (the stop rule of
-    :func:`repro.attacks.replay._run_to_watch`).  Otherwise it runs until
-    every core halts and returns False.  ``budget`` bounds ``state.steps``
-    over all calls on one walk.  Raises :class:`_Unresolved` on any
-    precision loss or step exhaustion.
-    """
-    fuse = config.fuse_countdown_loops and not config.speculative_execution
-    shared, memory, active = state.shared, state.memory, state.active
-    while state.steps < budget:
-        if not active:
-            return False
-        best = active[0]
-        for core in active[1:]:
-            if core.time < best.time:
-                best = core
-        if watch is not None and 0 <= best.pc < best.n:
-            tup = best.decoded[best.pc]
-            if (
-                tup[0] == K_LOAD
-                and (best.reg(tup[2]) + tup[3]) & WORD_MASK == watch
-            ):
-                return True
-        state.steps += 1
-        if best.step(shared, memory, config, fuse):
-            active.remove(best)
-    if active:
-        raise _Unresolved(
-            f"product walk exhausted {budget} steps with "
-            f"{len(active)} core(s) still running"
-        )
-    return False
-
-
 # -- observation -----------------------------------------------------------------
 
 
@@ -434,42 +176,28 @@ def _secret_walk(
     """Walk one built attack; returns ``finish(secret)``.
 
     ``finish`` gives the end state of the walk whose data word at
-    ``watch`` is ``secret``.  A one-program attack walks
-    :func:`~repro.analysis.timing._walk` from t=0 with the secret bound as
-    that initial word.  A product walk runs once, here, to just before the
+    ``watch`` is ``secret``.  The walk runs once, here, to just before the
     first load of ``watch``, which is the first step that can depend on
     the secret.  ``finish`` copies that state, writes the secret word into
     the copy and walks the rest on the same budget.  If every core halts
-    before that load, every secret shares the one end state.
+    before that load, every secret shares the one end state.  A store to
+    an unresolved address leaves no word of the end state known.
     """
-    if len(programs) == 1:
-        program = programs[0]
-        decoded = tuple(program.decoded)
-
-        def finish_one_core(secret: int) -> _EndState:
-            memory = _initial_memory(program, {watch: secret})
-            outcome = _walk(
-                decoded, memory, config, hconfig, frozenset(), max_steps
-            )
-            if outcome.final is None or outcome.hi is None:
-                raise _Unresolved("single-core walk did not resolve")
-            return memory, outcome.final
-
-        return finish_one_core
-
     budget = max_steps * len(programs)
-    prefix = _ProductState(programs, hconfig)
-    stopped = _product_walk(prefix, config, budget, watch)
+    prefix = _WalkState(programs, hconfig)
+    stopped = _run(prefix, config, budget, watch)
 
-    def finish_product(secret: int) -> _EndState:
-        if not stopped:
-            return prefix.memory, prefix.shared
-        state = prefix.copy()
-        state.memory[watch] = secret & WORD_MASK
-        _product_walk(state, config, budget)
-        return state.memory, state.shared
+    def finish(secret: int) -> _EndState:
+        walk = prefix
+        if stopped:
+            walk = prefix.copy()
+            walk.memory[watch] = secret & WORD_MASK
+            _run(walk, config, budget)
+        if walk.clobbered:
+            raise _Unresolved("a store to an unresolved address clobbered memory")
+        return walk.memory, walk.shared
 
-    return finish_product
+    return finish
 
 
 def _read_candidates(

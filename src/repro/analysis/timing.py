@@ -30,7 +30,13 @@ Three layers on top of :mod:`repro.analysis.cachemodel`:
   the walk once per secret and compares the attacker-observable must/may
   block sets at the last secret-addressed access (``AN-CACHE-DISTINGUISH``).
 
-Scope: the non-speculative single-core semantics the undefended ``Base``
+The walk is one step function (:func:`_step`) and one scheduler loop
+(:func:`_run`) over :class:`_WalkState`, one core per program.  The
+certifier in :mod:`repro.analysis.scenario` runs it with one or two
+programs; the functions here run it with one.  The core count alone
+decides how imprecision is treated (see :class:`_WalkState`).
+
+Scope: the non-speculative semantics the undefended ``Base``
 configuration runs (no prefetcher, default :class:`~repro.cpu.core.CoreConfig`).
 A speculative core's transient windows are invisible to the architectural
 CFG, so :func:`analyze_timing` returns the trivial ``[0, None]`` bound for
@@ -48,6 +54,7 @@ from repro.analysis.cfg import EXIT, ControlFlowGraph, build_cfg
 from repro.analysis.dataflow import _transfer
 from repro.analysis.taint import TaintAnalysis, _branch_taken, taint_of_program
 from repro.cpu.alu import MUL_KINDS
+from repro.cpu.blocks import BLOCK_KINDS
 from repro.cpu.core import CoreConfig
 from repro.isa.decode import (
     K_ADD_RI,
@@ -400,38 +407,32 @@ def timing_variations(
     return tuple(variations)
 
 
-# -- exact walk (timing_map / cache distinguishers) -----------------------------
+# -- exact walk (timing_map, cache distinguishers and the certifier) -----------
 
 
-@dataclass
-class _WalkOutcome:
-    """Result of one concrete-secret program walk."""
+class _Unresolved(Exception):
+    """The walk lost precision or ran out of steps; it ends there."""
 
-    lo: int
-    hi: int | None
-    #: ``(instruction index, observable)`` at each watched access, in
-    #: execution order.
-    snapshots: list[tuple[int, tuple[Any, ...]]]
-    #: Hierarchy state at halt (``None`` when the walk gave up).
-    final: HierarchyState | None
-
-    @property
-    def interval(self) -> CycleInterval:
-        return CycleInterval(self.lo, self.hi)
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
 
 
 def _initial_memory(
-    program: Any, bindings: Mapping[int, int]
+    programs: Sequence[Any], bindings: Mapping[int, int]
 ) -> dict[int, int | None]:
-    """Word store at t=0: data segments overlaid with the secret bindings.
+    """Word store at t=0: every program's data segments, then ``bindings``.
 
-    Mirrors :meth:`repro.mem.memory.MainMemory.load_program_data` plus the
-    snapshot-replay path's per-trial secret poke.
+    Mirrors :meth:`repro.mem.memory.MainMemory.load_program_data` for
+    each program in core order, as :class:`repro.cpu.system.System` loads
+    them into one shared memory, plus the snapshot-replay path's per-trial
+    secret poke.
     """
     memory: dict[int, int | None] = {}
-    for segment in program.data_segments:
-        for offset, value in enumerate(segment.values):
-            memory[segment.base + offset * segment.stride] = value & WORD_MASK
+    for program in programs:
+        for segment in program.data_segments:
+            for offset, value in enumerate(segment.values):
+                memory[segment.base + offset * segment.stride] = value & WORD_MASK
     for address, value in bindings.items():
         memory[address] = value & WORD_MASK
     return memory
@@ -442,14 +443,15 @@ def _fused_iterations(
 ) -> int:
     """Iterations countdown-loop fusion skips after a taken branch.
 
-    Called after the branch at ``index`` jumped back to ``index - 1``, by
-    both this module's walk and the scenario product walk.  Mirrors
-    :meth:`repro.cpu.core.Core._fuse_countdown`: when the branch is
+    Called after the branch at ``index`` jumped back to ``index - 1``.
+    Mirrors :meth:`repro.cpu.core.Core._fuse_countdown`: when the branch is
     ``bne rX, zero`` and the instruction it jumps to is exactly
     ``sub rX, rX, 1`` with ``rX`` known, every iteration but the exiting
     one is skipped; the caller sets ``rX`` to 1 and charges
     ``base_cost + branch_cost`` per skipped iteration.  Returns 0 when the
-    loop does not qualify.
+    loop does not qualify.  Fusion is schedule-safe on several cores: the
+    fused window executes only register arithmetic, so another core's
+    interleaved events observe the same shared state.
     """
     _, cond, rs0, rs1, _target = decoded[index]
     if cond != 1 or rs1 != ZERO_REGISTER or rs0 == ZERO_REGISTER:
@@ -467,168 +469,319 @@ def _fused_iterations(
     return max(value - 1, 0)
 
 
-def _walk(
-    decoded: Decoded,
-    memory: dict[int, int | None],
-    config: CoreConfig,
-    hconfig: HierarchyConfig,
-    watch: frozenset[int],
-    max_steps: int,
-) -> _WalkOutcome:
-    """Execute ``decoded`` with exact register/memory/time state.
+class _CoreWalk:
+    """One core's walk state: registers, pc, time bounds, serialising flag.
+
+    ``regs`` holds the known registers; an absent one is unknown, and
+    ``r0`` is always present as 0.  ``lo == hi`` until a latency widens.
+    """
+
+    __slots__ = ("core_id", "decoded", "n", "regs", "pc", "lo", "hi", "serialized")
+
+    def __init__(self, core_id: int, decoded: Decoded) -> None:
+        self.core_id = core_id
+        self.decoded = decoded
+        self.n = len(decoded)
+        self.regs: dict[int, int] = {ZERO_REGISTER: 0}
+        self.pc = 0
+        self.lo = 0
+        self.hi = 0
+        self.serialized = False
+
+    def copy(self) -> "_CoreWalk":
+        dup = _CoreWalk.__new__(_CoreWalk)
+        dup.core_id = self.core_id
+        dup.decoded = self.decoded
+        dup.n = self.n
+        dup.regs = dict(self.regs)
+        dup.pc = self.pc
+        dup.lo = self.lo
+        dup.hi = self.hi
+        dup.serialized = self.serialized
+        return dup
+
+    def unknown(self, index: int) -> _Unresolved:
+        """The walk's end when register ``index`` must be known but is not."""
+        return _Unresolved(
+            f"core {self.core_id}: register r{index} unknown at pc {self.pc}"
+        )
+
+
+class _WalkState:
+    """Everything a walk step reads or writes, so a walk can fork.
+
+    One core per program over one shared hierarchy and one word store
+    (every program's data segments, then ``bindings``).  ``active`` holds
+    the cores that have not halted, ``steps`` counts the steps taken
+    against the walk's budget, and ``snapshots`` records
+    ``(index, observable)`` after each observed instruction.
+
+    The core count sets how the walk treats imprecision.  One core walks
+    the way :func:`timing_map` bounds a run: an unresolved address havocs
+    the hierarchy (a store there sets ``clobbered``, after which no word
+    is known), a store of an unknown value leaves that word unknown
+    (``None``), a widened latency widens ``[lo, hi]``, and a software
+    prefetch may be dropped.  More than one core needs exact times to
+    schedule, so ``exact`` is set and each of those cases raises
+    :class:`_Unresolved` instead; prefetches then complete.
+    """
+
+    __slots__ = (
+        "shared", "memory", "clobbered", "cores", "active", "steps",
+        "snapshots", "exact",
+    )
+
+    def __init__(
+        self,
+        programs: Sequence[Any],
+        hconfig: HierarchyConfig,
+        bindings: Mapping[int, int] | None = None,
+    ) -> None:
+        self.shared = HierarchyState(hconfig, num_cores=len(programs))
+        self.memory = _initial_memory(programs, bindings or {})
+        self.clobbered = False
+        self.cores = tuple(
+            _CoreWalk(core_id, tuple(program.decoded))
+            for core_id, program in enumerate(programs)
+        )
+        self.active = list(self.cores)
+        self.steps = 0
+        self.snapshots: list[tuple[int, tuple[Any, ...]]] = []
+        self.exact = self.shared.num_cores > 1
+
+    def copy(self) -> "_WalkState":
+        dup = _WalkState.__new__(_WalkState)
+        dup.shared = self.shared.copy()
+        dup.memory = dict(self.memory)
+        dup.clobbered = self.clobbered
+        dup.cores = tuple(core.copy() for core in self.cores)
+        dup.active = [dup.cores[core.core_id] for core in self.active]
+        dup.steps = self.steps
+        dup.snapshots = list(self.snapshots)
+        dup.exact = self.exact
+        return dup
+
+
+def _address(walk: _WalkState, core: _CoreWalk, reg: int, imm: int) -> int | None:
+    """Effective address ``reg + imm``; ``None`` when one core cannot resolve it."""
+    value = core.regs.get(reg)
+    if value is None:
+        if walk.exact:
+            raise core.unknown(reg)
+        return None
+    return (value + imm) & WORD_MASK
+
+
+def _step(
+    walk: _WalkState, core: _CoreWalk, config: CoreConfig, fuse: bool
+) -> bool:
+    """Execute ``core``'s next instruction; returns True when it halts.
 
     Mirrors :class:`repro.cpu.core.Core`'s non-speculative semantics
-    instruction for instruction — including ``rdcycle`` reading the
-    current cycle, the serialising flag, and countdown-loop fusion — but
-    carries the *abstract* hierarchy, so an access that cannot be resolved
-    widens the time interval instead of crashing the walk.  Gives up
-    (``hi=None``) on a branch over unknown values, a PC escape, or step
-    exhaustion.
+    instruction for instruction (``rdcycle`` reading the current cycle, the
+    serialising flag, the OoO hide window and countdown-loop fusion) over
+    the abstract hierarchy.  A branch over an unknown value, a PC escape
+    and an invalid target raise :class:`_Unresolved`; see
+    :class:`_WalkState` for what else does.
     """
-    state: dict[int, int] = {ZERO_REGISTER: 0}
-    hierarchy = HierarchyState(hconfig)
-    snapshots: list[tuple[int, tuple[Any, ...]]] = []
-    time_lo = 0
-    time_hi = 0
-    serialized = False
-    memory_clobbered = False
-    base = config.base_cost
-    branch_cost = config.branch_cost
-    mul_cost = config.mul_cost
-    fuse = config.fuse_countdown_loops and not config.speculative_execution
-    n = len(decoded)
-    pc = 0
-
-    def reg(index: int) -> int | None:
-        return 0 if index == ZERO_REGISTER else state.get(index)
-
-    for _ in range(max_steps):
-        if not 0 <= pc < n:
-            return _WalkOutcome(time_lo, None, snapshots, None)
-        tup = decoded[pc]
-        kind = tup[0]
-        if kind == K_LOAD:
-            _, rd, rs0, imm, _pc = tup
-            bval = reg(rs0)
-            addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.load(0, addr)
-            lo, hi = _charged(interval, config, serialized)
-            serialized = False
-            time_lo += lo
-            time_hi += hi
-            if rd != ZERO_REGISTER:
-                value = (
-                    None
-                    if addr is None or memory_clobbered
-                    else memory.get(addr, 0)
-                )
-                if value is None:
-                    state.pop(rd, None)
-                else:
-                    state[rd] = value & WORD_MASK
-            if pc in watch:
-                snapshots.append((pc, hierarchy.observable(0)))
-            pc += 1
-        elif kind == K_STORE:
-            _, rs0, rs1, imm, _pc = tup
-            bval = reg(rs1)
-            addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.store(0, addr)
-            time_lo += interval.lo
-            time_hi += interval.hi
-            if addr is None:
-                memory_clobbered = True
-            else:
-                memory[addr] = reg(rs0)
-            if pc in watch:
-                snapshots.append((pc, hierarchy.observable(0)))
-            pc += 1
-        elif kind == K_CLFLUSH:
-            _, rs0, imm = tup
-            bval = reg(rs0)
-            addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.flush(0, addr)
-            time_lo += interval.lo
-            time_hi += interval.hi
-            if pc in watch:
-                snapshots.append((pc, hierarchy.observable(0)))
-            pc += 1
-        elif kind == K_PREFETCH:
-            _, rs0, imm, _write = tup
-            bval = reg(rs0)
-            addr = None if bval is None else (bval + imm) & WORD_MASK
-            interval = hierarchy.prefetch(0, addr, may_drop=True)
-            lo, hi = _charged(interval, config, serialized)
-            serialized = False
-            time_lo += lo
-            time_hi += hi
-            if pc in watch:
-                snapshots.append((pc, hierarchy.observable(0)))
-            pc += 1
-        elif kind == K_BRANCH:
-            _, cond, rs0, rs1, target = tup
-            a = reg(rs0)
-            b = reg(rs1)
-            if (
-                a is None
-                or b is None
-                or not isinstance(target, int)
-                or not 0 <= target < n
-            ):
-                return _WalkOutcome(time_lo, None, snapshots, None)
-            taken = _branch_taken(cond, a, b)
-            time_lo += branch_cost
-            time_hi += branch_cost
-            index = pc
-            pc = target if taken else pc + 1
-            if fuse and taken and target == index - 1:
-                skipped = _fused_iterations(decoded, index, state)
+    pc = core.pc
+    if not 0 <= pc < core.n:
+        raise _Unresolved(f"core {core.core_id}: pc {pc} escaped the program")
+    tup = core.decoded[pc]
+    kind = tup[0]
+    regs = core.regs
+    if kind in BLOCK_KINDS:  # touches registers only
+        _transfer(regs, tup)
+        cost = config.mul_cost if kind in MUL_KINDS else config.base_cost
+        core.lo += cost
+        core.hi += cost
+        core.pc = pc + 1
+        return False
+    if kind == K_BRANCH:
+        _, cond, rs0, rs1, target = tup
+        a = regs.get(rs0)
+        if a is None:
+            raise core.unknown(rs0)
+        b = regs.get(rs1)
+        if b is None:
+            raise core.unknown(rs1)
+        if not isinstance(target, int) or not 0 <= target < core.n:
+            raise _Unresolved(
+                f"core {core.core_id}: branch target {target!r} invalid"
+            )
+        branch_cost = config.branch_cost
+        cost = branch_cost
+        if _branch_taken(cond, a, b):
+            core.pc = target
+            if fuse and target == pc - 1:
+                skipped = _fused_iterations(core.decoded, pc, regs)
                 if skipped:
-                    state[rs0] = 1
-                    jump = skipped * (base + branch_cost)
-                    time_lo += jump
-                    time_hi += jump
-        elif kind == K_JMP:
-            target = tup[1]
-            if not isinstance(target, int) or not 0 <= target < n:
-                return _WalkOutcome(time_lo, None, snapshots, None)
-            time_lo += branch_cost
-            time_hi += branch_cost
-            pc = target
-        elif kind == K_RDCYCLE:
-            rd = tup[1]
-            if rd != ZERO_REGISTER:
-                if time_lo == time_hi:
-                    state[rd] = time_lo & WORD_MASK
-                else:
-                    state.pop(rd, None)
-            serialized = True
-            time_lo += base
-            time_hi += base
-            pc += 1
-        elif kind == K_FENCE:
-            serialized = True
-            time_lo += base
-            time_hi += base
-            pc += 1
-        elif kind == K_HALT:
-            time_lo += base
-            time_hi += base
-            return _WalkOutcome(time_lo, time_hi, snapshots, hierarchy)
+                    regs[rs0] = 1
+                    cost += skipped * (config.base_cost + branch_cost)
         else:
-            _transfer(state, tup)
-            cost = mul_cost if kind in MUL_KINDS else base
-            time_lo += cost
-            time_hi += cost
-            pc += 1
-    return _WalkOutcome(time_lo, None, snapshots, None)
+            core.pc = pc + 1
+        core.lo += cost
+        core.hi += cost
+        return False
+    if kind == K_JMP:
+        target = tup[1]
+        if not isinstance(target, int) or not 0 <= target < core.n:
+            raise _Unresolved(
+                f"core {core.core_id}: jump target {target!r} invalid"
+            )
+        core.lo += config.branch_cost
+        core.hi += config.branch_cost
+        core.pc = target
+        return False
+    if kind == K_HALT:
+        core.lo += config.base_cost
+        core.hi += config.base_cost
+        return True
+    if kind == K_RDCYCLE or kind == K_FENCE:
+        if kind == K_RDCYCLE and tup[1] != ZERO_REGISTER:
+            if core.lo == core.hi:
+                regs[tup[1]] = core.lo & WORD_MASK
+            else:
+                regs.pop(tup[1], None)
+        core.serialized = True
+        core.lo += config.base_cost
+        core.hi += config.base_cost
+        core.pc = pc + 1
+        return False
+    shared = walk.shared
+    if kind == K_LOAD:
+        _, rd, rs0, imm, _pc = tup
+        addr = _address(walk, core, rs0, imm)
+        lo, hi = _charged(
+            shared.load(core.core_id, addr), config, core.serialized
+        )
+        core.serialized = False
+        if rd != ZERO_REGISTER:
+            value = (
+                None
+                if addr is None or walk.clobbered
+                else walk.memory.get(addr, 0)
+            )
+            if value is None:
+                regs.pop(rd, None)
+            else:
+                regs[rd] = value & WORD_MASK
+    elif kind == K_STORE:
+        _, rs0, rs1, imm, _pc = tup
+        addr = _address(walk, core, rs1, imm)
+        value = regs.get(rs0)
+        if value is None and walk.exact:
+            raise core.unknown(rs0)
+        interval = shared.store(core.core_id, addr)
+        lo, hi = interval.lo, interval.hi
+        if addr is None:
+            walk.clobbered = True
+        else:
+            walk.memory[addr] = value
+    elif kind == K_CLFLUSH:
+        _, rs0, imm = tup
+        interval = shared.flush(core.core_id, _address(walk, core, rs0, imm))
+        lo, hi = interval.lo, interval.hi
+    else:  # K_PREFETCH
+        _, rs0, imm, write = tup
+        interval = shared.prefetch(
+            core.core_id,
+            _address(walk, core, rs0, imm),
+            bool(write),
+            may_drop=not walk.exact,
+        )
+        lo, hi = _charged(interval, config, core.serialized)
+        core.serialized = False
+    if lo != hi and walk.exact:
+        raise _Unresolved(
+            f"core {core.core_id}: access latency widened to "
+            f"{lo}..{hi} at pc {pc}"
+        )
+    core.lo += lo
+    core.hi += hi
+    core.pc = pc + 1
+    return False
 
 
-def _secret_bindings(program: Any, secret: int) -> dict[int, int]:
-    return {
-        address: secret & WORD_MASK
-        for address in sorted(program.taint_sources)
-    }
+def _run(
+    walk: _WalkState,
+    config: CoreConfig,
+    budget: int,
+    watch: int | None = None,
+    observe: frozenset[int] = frozenset(),
+) -> bool:
+    """Advance ``walk`` in place; returns False once every core halts.
+
+    Scheduling is :meth:`repro.cpu.system.System.run_steps`'s: the
+    non-halted core with the smallest local time steps next, strict ``<``
+    keeping the lower-index core on ties.  With ``watch`` set, the walk
+    stops *before* a core executes a load whose effective address is
+    ``watch`` and returns True (the stop rule of
+    :func:`repro.attacks.replay._run_to_watch`), so every load address up
+    to there must resolve.  After each instruction whose index is in
+    ``observe``, the stepping core's observable is appended to
+    ``walk.snapshots``.  ``budget`` bounds ``walk.steps`` over every call
+    on one walk.  Raises :class:`_Unresolved` when a step does or the
+    budget runs out.
+    """
+    fuse = config.fuse_countdown_loops and not config.speculative_execution
+    active = walk.active
+    steps = walk.steps
+    try:
+        while steps < budget:
+            if not active:
+                return False
+            best = active[0]
+            if len(active) > 1:  # a one-core walk skips the scan
+                for core in active:
+                    if core.lo < best.lo:
+                        best = core
+            pc = best.pc
+            if watch is not None and 0 <= pc < best.n:
+                tup = best.decoded[pc]
+                if tup[0] == K_LOAD:
+                    base = best.regs.get(tup[2])
+                    if base is None:
+                        raise best.unknown(tup[2])
+                    if (base + tup[3]) & WORD_MASK == watch:
+                        return True
+            steps += 1
+            if _step(walk, best, config, fuse):
+                active.remove(best)
+            if pc in observe:
+                walk.snapshots.append(
+                    (pc, walk.shared.observable(best.core_id))
+                )
+    finally:
+        walk.steps = steps
+    if active:
+        raise _Unresolved(
+            f"product walk exhausted {budget} steps with "
+            f"{len(active)} core(s) still running"
+        )
+    return False
+
+
+def _walk(
+    program: Any,
+    secret: int,
+    config: CoreConfig,
+    hconfig: HierarchyConfig,
+    observe: frozenset[int],
+    max_steps: int,
+) -> tuple[_WalkState, bool]:
+    """Walk ``program`` alone from t=0 with its declared secrets bound to
+    ``secret``; returns the walk and whether it ran to ``halt``.
+
+    A walk that ends early keeps the time bounds and snapshots it reached.
+    """
+    bindings = dict.fromkeys(program.taint_sources, secret)
+    walk = _WalkState((program,), hconfig, bindings)
+    try:
+        _run(walk, config, max_steps, observe=observe)
+    except _Unresolved:
+        return walk, False
+    return walk, True
 
 
 def timing_map(
@@ -653,19 +806,18 @@ def timing_map(
     config = core or CoreConfig()
     if config.speculative_execution:
         return CycleInterval(0, None)
-    decoded = tuple(program.decoded)
-    if not decoded:
+    if not program.decoded:
         return CycleInterval(0, 0)
-    memory = _initial_memory(program, _secret_bindings(program, secret))
-    outcome = _walk(
-        decoded,
-        memory,
+    walk, halted = _walk(
+        program,
+        secret,
         config,
         hierarchy or HierarchyConfig(),
         frozenset(),
         max_steps,
     )
-    return outcome.interval
+    (walked,) = walk.cores
+    return CycleInterval(walked.lo, walked.hi if halted else None)
 
 
 @dataclass(frozen=True)
@@ -693,13 +845,11 @@ def _walk_observable(
     hconfig: HierarchyConfig,
     max_steps: int,
 ) -> tuple[int | None, tuple[Any, ...]] | None:
-    decoded = tuple(program.decoded)
-    memory = _initial_memory(program, _secret_bindings(program, secret))
-    outcome = _walk(decoded, memory, config, hconfig, watch, max_steps)
-    if outcome.snapshots:
-        return outcome.snapshots[-1]
-    if outcome.final is not None:
-        return (None, outcome.final.observable(0))
+    walk, halted = _walk(program, secret, config, hconfig, watch, max_steps)
+    if walk.snapshots:
+        return walk.snapshots[-1]
+    if halted:
+        return (None, walk.shared.observable(0))
     return None
 
 

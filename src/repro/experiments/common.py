@@ -159,13 +159,18 @@ def grid_improvements(
 
     The no-prefetcher baseline each workload needs is folded into the same
     batch (and deduplicated), so the whole grid shards across workers.
+    Each column's jobs share one config, which is then fingerprinted once.
+    Configs are built per column position, not memoised by spec equality:
+    ``1``, ``1.0`` and ``True`` compare equal but key differently.
     """
-    cells = [
-        (name, spec)
+    columns = [BASELINE_SPEC, *specs]
+    systems = [perf_config(spec) for spec in columns]
+    cells = [(name, spec) for name in workload_names for spec in columns]
+    jobs = [
+        SimJob(workload=name, scale=scale, system=system)
         for name in workload_names
-        for spec in [BASELINE_SPEC, *specs]
+        for system in systems
     ]
-    jobs = [sim_job(name, spec, scale) for name, spec in cells]
     results = batch_results(jobs, workers=workers, store=store)
     cycles = dict(zip(cells, (result.cycles for result in results)))
     return {

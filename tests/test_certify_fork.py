@@ -1,16 +1,16 @@
-"""One build per (victim, attack) pair and a product walk forked per secret.
+"""One build per (victim, attack) pair and one walk forked per secret.
 
 The certifier (``repro.analysis.scenario``) builds each pair's attack once
 and finishes its walk once per trial secret, changing only the data word
-at ``AttackLayout.secret_addr``.  A two-core walk runs once to just before
-the first load of that word and is copied there for each secret.  These
-tests pin the facts that make both shortcuts sound:
+at ``AttackLayout.secret_addr``.  The walk, over one core or two, runs once
+to just before the first load of that word and is copied there for each
+secret.  These tests pin the facts that make both shortcuts sound:
 
 * a build for any trial secret differs from the first secret's build only
   in that data word, so one strict build checks what 16 would;
-* every forked or rebound walk ends exactly where a per-secret rebuild
-  walked from t=0 ends: same memory image, same abstract hierarchy, same
-  candidate set;
+* every forked walk ends exactly where a per-secret rebuild walked from
+  t=0 without a fork ends: same memory image, same abstract hierarchy,
+  same candidate set;
 * the fork spends the walk's one step budget, so running out before or
   after the fork point gives the rebuild's failure reason.
 """
@@ -21,15 +21,18 @@ import pytest
 
 from repro.analysis.scenario import (
     UNKNOWN,
-    _ProductState,
-    _Unresolved,
-    _product_walk,
     _read_candidates,
     _secret_walk,
     certify,
     certify_grid,
 )
-from repro.analysis.timing import DEFAULT_WALK_STEPS, _initial_memory, _walk
+from repro.analysis.timing import (
+    DEFAULT_WALK_STEPS,
+    _initial_memory,
+    _run,
+    _Unresolved,
+    _WalkState,
+)
 from repro.attacks.scenarios import DEFAULT_ATTACKS, DEFAULT_VICTIMS
 from repro.cpu.core import CoreConfig
 from repro.errors import ConfigError
@@ -47,6 +50,7 @@ TWO_CORE = [
     for victim, attack in PAIRS
     if attack.startswith("adversarial-prefetch")
 ]
+ONE_CORE = [pair for pair in PAIRS if pair not in TWO_CORE]
 CONFIG = CoreConfig()
 HCONFIG = HierarchyConfig()
 
@@ -78,21 +82,9 @@ def _words_except(program, address):
 
 def _walk_from_t0(programs):
     """A per-secret build walked from t=0, with no fork and no binding."""
-    if len(programs) == 1:
-        memory = _initial_memory(programs[0], {})
-        outcome = _walk(
-            tuple(programs[0].decoded),
-            memory,
-            CONFIG,
-            HCONFIG,
-            frozenset(),
-            DEFAULT_WALK_STEPS,
-        )
-        assert outcome.final is not None and outcome.hi is not None
-        return memory, outcome.final
-    state = _ProductState(programs, HCONFIG)
-    assert not _product_walk(state, CONFIG, DEFAULT_WALK_STEPS * len(programs))
-    return state.memory, state.shared
+    walk = _WalkState(programs, HCONFIG)
+    assert not _run(walk, CONFIG, DEFAULT_WALK_STEPS * len(programs))
+    return walk.memory, walk.shared
 
 
 @pytest.mark.parametrize("victim,attack", PAIRS)
@@ -110,7 +102,7 @@ def test_builds_for_every_secret_differ_only_in_the_secret_word(victim, attack):
             assert got.taint_sources == want.taint_sources
             assert got.suppressions == want.suppressions
             assert _words_except(got, watch) == _words_except(want, watch)
-            word = _initial_memory(got, {}).get(watch)
+            word = _initial_memory([got], {}).get(watch)
             if word is not None:
                 carriers.append(word)
         # Exactly one program writes the word, so writing it into the
@@ -144,52 +136,61 @@ def test_one_walk_per_pair_matches_a_rebuild_per_secret(victim, attack):
     assert len(seen) > 1
 
 
-@pytest.mark.parametrize("victim,attack", TWO_CORE)
+@pytest.mark.parametrize("victim,attack", PAIRS)
 def test_product_walk_forks_before_the_first_secret_load(victim, attack):
     probe = _build(victim, attack, 0)
     watch = probe.layout.secret_addr
     programs = probe.build_programs()
-    prefix = _ProductState(programs, HCONFIG)
-    assert _product_walk(prefix, CONFIG, DEFAULT_WALK_STEPS * 2, watch)
+    budget = DEFAULT_WALK_STEPS * len(programs)
+    prefix = _WalkState(programs, HCONFIG)
+    assert _run(prefix, CONFIG, budget, watch)
     # The core the scheduler picks next is about to load the secret word.
-    best = min(prefix.active, key=lambda core: (core.time, core.core_id))
+    best = min(prefix.active, key=lambda core: (core.lo, core.core_id))
     kind, _rd, base, imm, _pc = best.decoded[best.pc]
     assert kind == K_LOAD
-    assert (best.reg(base) + imm) & WORD_MASK == watch
+    assert (best.regs[base] + imm) & WORD_MASK == watch
     # Resuming without a watch finishes the same walk a fresh one takes.
-    whole = _ProductState(programs, HCONFIG)
-    _product_walk(whole, CONFIG, DEFAULT_WALK_STEPS * 2)
+    whole = _WalkState(programs, HCONFIG)
+    _run(whole, CONFIG, budget)
     assert prefix.steps < whole.steps
-    _product_walk(prefix, CONFIG, DEFAULT_WALK_STEPS * 2)
+    _run(prefix, CONFIG, budget)
     assert prefix.steps == whole.steps
     assert prefix.memory == whole.memory
     assert prefix.shared == whole.shared
 
 
 def test_running_out_of_steps_reports_the_rebuilds_reason():
-    victim, attack = TWO_CORE[0]
-    secrets = get_victim(victim).trial_secrets(SECRETS)
-    probe = _build(victim, attack, secrets[0])
-    watch = probe.layout.secret_addr
-    programs = probe.build_programs()
-    prefix = _ProductState(programs, HCONFIG)
-    assert _product_walk(prefix, CONFIG, DEFAULT_WALK_STEPS * 2, watch)
-    fork_step = prefix.steps
-    whole = _ProductState(programs, HCONFIG)
-    _product_walk(whole, CONFIG, DEFAULT_WALK_STEPS * 2)
-    # A two-core walk's budget is 2 * max_steps.
-    before, after = fork_step // 4, (fork_step + whole.steps) // 4
-    assert 2 * before < fork_step < 2 * after < whole.steps
-    for max_steps in (before, after):
-        rebuilt = _build(victim, attack, secrets[1]).build_programs()
-        with pytest.raises(_Unresolved) as want:
-            _product_walk(_ProductState(rebuilt, HCONFIG), CONFIG, 2 * max_steps)
-        with pytest.raises(_Unresolved) as got:
-            _secret_walk(programs, watch, CONFIG, HCONFIG, max_steps)(secrets[1])
-        assert got.value.reason == want.value.reason
-        cell = certify(attack, victim, "Base", secrets=secrets, max_steps=max_steps)
-        assert cell.verdict == UNKNOWN
-        assert cell.detail == want.value.reason
+    for victim, attack in (TWO_CORE[0], ONE_CORE[0]):
+        secrets = get_victim(victim).trial_secrets(SECRETS)
+        probe = _build(victim, attack, secrets[0])
+        watch = probe.layout.secret_addr
+        programs = probe.build_programs()
+        cores = len(programs)
+        prefix = _WalkState(programs, HCONFIG)
+        assert _run(prefix, CONFIG, DEFAULT_WALK_STEPS * cores, watch)
+        whole = _WalkState(programs, HCONFIG)
+        _run(whole, CONFIG, DEFAULT_WALK_STEPS * cores)
+        # A walk's budget is max_steps per core.
+        before = prefix.steps // (2 * cores)
+        after = (prefix.steps + whole.steps) // (2 * cores)
+        assert cores * before < prefix.steps < cores * after < whole.steps
+        for max_steps in (before, after):
+            rebuilt = _build(victim, attack, secrets[1]).build_programs()
+            with pytest.raises(_Unresolved) as want:
+                _run(_WalkState(rebuilt, HCONFIG), CONFIG, cores * max_steps)
+            with pytest.raises(_Unresolved) as got:
+                _secret_walk(programs, watch, CONFIG, HCONFIG, max_steps)(
+                    secrets[1]
+                )
+            assert got.value.reason == want.value.reason
+            assert want.value.reason.startswith(
+                f"product walk exhausted {cores * max_steps} steps"
+            )
+            cell = certify(
+                attack, victim, "Base", secrets=secrets, max_steps=max_steps
+            )
+            assert cell.verdict == UNKNOWN
+            assert cell.detail == want.value.reason
 
 
 def test_certify_grid_builds_each_pair_once(monkeypatch):

@@ -11,6 +11,7 @@ field sets structurally so a newly added knob can never fall out again.
 import dataclasses
 import hashlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.runner import (
     run_batch,
 )
 from repro.sim.config import PrefetcherSpec, SystemConfig
+from repro.workloads import SPEC2006_NAMES
 
 # Fields whose values are constrained (enums, registry names): a generic
 # "+1"/flip perturbation would be invalid, so supply a valid alternative.
@@ -148,6 +150,29 @@ def test_config_fingerprint_cache_follows_identity(first, second):
     assert cached == SystemConfig(num_cores=first)
     assert job_key(replace(cached)) == cached_key
     assert "_fingerprint" not in {f.name for f in dataclasses.fields(cached)}
+
+
+#: sha256 over the newline-joined keys of Table IV's 144 jobs at scale 0.5
+#: (``SPEC2006_NAMES`` x ``[BASELINE_SPEC, *table4._columns(with_rp=False)]``),
+#: in ``grid_improvements`` submission order.
+TABLE4_JOB_KEYS_SHA256 = "1999c57cfa6102d3d4749e005dfb7f0adf536fc687fa2847443e45bae53e9ee9"
+
+
+def test_grid_improvements_shares_one_config_per_column(monkeypatch):
+    """Each column's jobs share one config object, so a pass fingerprints
+    12 configs rather than 144, and not a single key moves."""
+    submitted = []
+
+    def fake_batch(jobs, workers=1, store=None):
+        submitted.extend(jobs)
+        return [SimpleNamespace(cycles=100) for _ in jobs]
+
+    monkeypatch.setattr(common, "batch_results", fake_batch)
+    specs = [spec for _, spec in table4._columns(with_rp=False)]
+    common.grid_improvements(SPEC2006_NAMES, specs, 0.5)
+    assert len(submitted) == 144
+    assert _digest(job.key() for job in submitted) == TABLE4_JOB_KEYS_SHA256
+    assert len({id(job.system) for job in submitted}) == 12
 
 
 def test_attack_job_key_covers_every_field():
