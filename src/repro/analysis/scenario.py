@@ -28,7 +28,7 @@ destroying the attacker's observation.  Three layers:
   only the data word at ``AttackLayout.secret_addr`` changed; that yields
   the attacker-observable vector per secret.  The walk, over one core or
   two, runs once to just before the first load of that word (the stop
-  rule of :func:`repro.attacks.replay._run_to_watch`) and forks there per
+  rule of ``System.run_steps(stop_before_load=)``) and forks there per
   secret.
 * **Verdict** — :func:`certify` compares observables across secrets and
   applies the defense's abstract transformer

@@ -717,8 +717,8 @@ def _run(
     keeping the lower-index core on ties.  With ``watch`` set, the walk
     stops *before* a core executes a load whose effective address is
     ``watch`` and returns True (the stop rule of
-    :func:`repro.attacks.replay._run_to_watch`), so every load address up
-    to there must resolve.  After each instruction whose index is in
+    ``System.run_steps(stop_before_load=)``), so every load address up to
+    there must resolve.  After each instruction whose index is in
     ``observe``, the stepping core's observable is appended to
     ``walk.snapshots``.  ``budget`` bounds ``walk.steps`` over every call
     on one walk.  Raises :class:`_Unresolved` when a step does or the

@@ -36,8 +36,6 @@ from typing import TYPE_CHECKING
 
 from repro.cpu.system import System
 from repro.errors import SimulationError
-from repro.isa.decode import K_LOAD
-from repro.isa.registers import WORD_MASK
 
 if TYPE_CHECKING:
     from repro.runner.job import ScenarioJob, ScenarioProbe
@@ -124,33 +122,20 @@ def replay_group(jobs: list[ScenarioJob]) -> list[ScenarioProbe]:
 def _run_to_watch(system: System, watch: int, max_steps: int) -> int:
     """Advance the system to just before the first demand load of ``watch``.
 
-    Steps cores in the scheduler's order (min local time, ties to the
-    lower core index) and stops *before* executing a ``load`` whose
-    effective address is ``watch`` — the first instruction whose outcome
-    can depend on the secret value.  Returns the steps taken; if every
-    core halts without touching ``watch`` the secret is dead and the
+    :meth:`System.run_steps <repro.cpu.system.System.run_steps>` stops
+    there in the scheduler's own order, before the first instruction whose
+    outcome can depend on the secret value.  Returns the steps taken; if
+    every core halts without touching ``watch`` the secret is dead and the
     end state itself is a valid (trivial) snapshot point.
+
+    Raises:
+        SimulationError: when work is left after ``max_steps`` steps, as
+            :meth:`System.run` does.
     """
-    steps = 0
-    active = [core for core in system.cores if not core.halted]
-    while active:
-        core = active[0]
-        for candidate in active[1:]:
-            # Strict < keeps the earlier (lower-index) core on ties.
-            if candidate.time < core.time:
-                core = candidate
-        instruction = core._decoded[core.pc_index]
-        if instruction[0] == K_LOAD and not core._speculating:
-            addr = (core._values[instruction[2]] + instruction[3]) & WORD_MASK
-            if addr == watch:
-                return steps
-        core.step()
-        steps += 1
-        if core.halted:
-            active = [c for c in active if not c.halted]
-        if steps >= max_steps:
-            raise SimulationError(
-                f"exceeded {max_steps} scheduler steps warming a scenario "
-                "snapshot; a program probably fails to halt"
-            )
+    steps = system.run_steps(max_steps, stop_before_load=watch)
+    if steps == max_steps and not all(core.halted for core in system.cores):
+        raise SimulationError(
+            f"exceeded {max_steps} scheduler steps warming a scenario "
+            "snapshot; a program probably fails to halt"
+        )
     return steps

@@ -3,29 +3,37 @@
 Cores advance independent local clocks; the scheduler always steps the core
 with the smallest local time, which keeps cross-core cache interactions in
 causal order (a discrete-event style common to multi-core timing models).
+Ties break toward the lower core index.
 
-Scheduling is specialised by active-core count: a single core runs a tight
-``step()`` loop with no arbitration at all, two cores (every cross-core
-attack) use a direct comparison, and larger systems use a binary heap keyed
-on ``(local_time, core_index)``.  All three orders are identical to the
-seed implementation's per-step ``min(active, key=time)`` scan — ties break
-toward the lower core index — which ``tests/test_golden_parity.py`` pins.
+:meth:`System.run_steps` is that policy as a per-step scan over the active
+cores, and the one scheduler that takes a stop point: ``stop_before_load``
+ends it just before the next scheduled core's first non-speculative
+``load`` of an address (scenario replay snapshots there, before a victim
+reads its secret).  :meth:`System.run` keeps two specialised loops for the
+hot cases, a single core (every Table IV run) with no arbitration at all
+and two cores (every cross-core attack) with a direct comparison, and
+hands more active cores to the scan.  All three orders are identical,
+which ``tests/test_golden_parity.py`` and ``tests/test_block_fuzz.py`` pin.
 
 A scheduler step is one :meth:`Core.step <repro.cpu.core.Core.step>`: one
 compiled block of register-only instructions, one instruction, or one
-squash.  ``max_steps`` and ``run_steps`` count those steps.  A sampled run
-turns fusion off, so there every step is one instruction (or one squash).
+squash.  ``max_steps`` and ``run_steps`` count those steps.  Blocks end at
+every memory op, so a load always begins a step and the stop point is
+exact.  A sampled run turns fusion off, so there every step is one
+instruction (or one squash), and runs the same dispatch in chunks of
+``sample_interval`` steps, sampling after each full chunk.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cpu.core import Core, CoreConfig
 from repro.errors import SimulationError, SnapshotError
+from repro.isa.decode import K_LOAD
 from repro.isa.program import Program
+from repro.isa.registers import WORD_MASK
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.snapshot import SNAPSHOT_VERSION, require_keys
 
@@ -96,60 +104,51 @@ class System:
                 buffer count when its prefetcher is a PREFENDER.
 
         Raises:
-            SimulationError: when ``max_steps`` is exhausted first.
+            SimulationError: when work is left after ``max_steps`` steps.
         """
-        if sample_fn is None:
-            sample_fn = _default_sample
         samples: list[tuple[int, object]] = []
         if not sample_interval:
-            return self._run(max_steps, None, sample_fn, samples)
-        # Sampling cadence counts scheduler steps, and fusion (countdown
-        # loops and compiled blocks) collapses many instructions into one
-        # step; interpret one instruction per step so a sampled run sees
-        # the seed engine's step sequence, then restore each core's switch.
-        for core in self.cores:
-            core._fuse_loops = False
-        try:
-            return self._run(max_steps, sample_interval, sample_fn, samples)
-        finally:
+            self._advance(max_steps)
+        else:
+            if sample_fn is None:
+                sample_fn = _default_sample
+            # Sampling cadence counts scheduler steps, and fusion (countdown
+            # loops and compiled blocks) collapses many instructions into one
+            # step; interpret one instruction per step so a sampled run sees
+            # the seed engine's step sequence, then restore each core's switch.
             for core in self.cores:
-                core._fuse_loops = core.config.fuse_countdown_loops
-
-    def _run(
-        self,
-        max_steps: int,
-        sample_interval: int | None,
-        sample_fn: Callable[["System"], object],
-        samples: list[tuple[int, object]],
-    ) -> RunResult:
-        """Schedule every active core to halt (``run`` with each core's
-        fusion switch already set)."""
-        active = [core for core in self.cores if not core.halted]
-        steps = 0
-        while active:
-            if steps >= max_steps:
+                core._fuse_loops = False
+            try:
+                steps = 0
+                while steps < max_steps:
+                    taken = self._advance(min(sample_interval, max_steps - steps))
+                    steps += taken
+                    if taken < sample_interval:
+                        break
+                    samples.append((steps, sample_fn(self)))
+            finally:
+                for core in self.cores:
+                    core._fuse_loops = core.config.fuse_countdown_loops
+        for core in self.cores:
+            if not core.halted:
                 # Only a run with work left is a runaway; when the final
                 # step halted the last core the budget was exactly enough.
                 raise SimulationError(
                     f"exceeded {max_steps} scheduler steps; "
                     "a program probably fails to halt"
                 )
-            count = len(active)
-            if count == 1:
-                steps = self._run_single(
-                    active[0], steps, max_steps, sample_interval, sample_fn, samples
-                )
-            elif count == 2:
-                steps = self._run_pair(
-                    active[0], active[1], steps, max_steps, sample_interval,
-                    sample_fn, samples,
-                )
-            else:
-                steps = self._run_heap(
-                    active, steps, max_steps, sample_interval, sample_fn, samples
-                )
-            active = [core for core in active if not core.halted]
         return self._result(samples)
+
+    def _advance(self, budget: int) -> int:
+        """Take up to ``budget`` scheduler steps with the loop for the
+        active-core count; returns the steps taken, fewer only once every
+        core has halted."""
+        active = [core for core in self.cores if not core.halted]
+        if len(active) == 1:
+            return self._run_single(active[0], 0, budget)
+        if len(active) == 2:
+            return self._run_pair(active[0], active[1], budget)
+        return self.run_steps(budget)
 
     # -- snapshot/restore ------------------------------------------------------
 
@@ -187,15 +186,19 @@ class System:
             core.restore(snap)
         self.hierarchy.restore(data["hierarchy"])
 
-    def run_steps(self, steps: int) -> int:
-        """Advance exactly ``steps`` scheduler steps (or until all halt).
+    def run_steps(self, steps: int, stop_before_load: int | None = None) -> int:
+        """Advance up to ``steps`` scheduler steps; returns the steps taken.
 
         Scheduling order is identical to :meth:`run`: the non-halted core
         with the smallest local time steps next, ties to the lower core
-        index.  Returns the number of steps actually taken — fewer than
-        ``steps`` only when every core halted first.  The parity harness
-        uses this to stop a run at an arbitrary point, snapshot, and
-        compare resumed executions state-for-state.
+        index.  Fewer than ``steps`` are taken only when every core halted
+        first, or at the stop point: with ``stop_before_load`` set, the
+        scan stops just before the scheduled core executes a
+        non-speculative ``load`` whose effective address is that value.
+        Blocks end at every memory op, so such a load always begins a step.
+        Scenario replay stops there before a victim first reads its
+        secret; the parity harness stops a run at an arbitrary point,
+        snapshots, and compares resumed executions state-for-state.
         """
         taken = 0
         active = [core for core in self.cores if not core.halted]
@@ -205,101 +208,49 @@ class System:
                 # Strict < keeps the earlier (lower-index) core on ties.
                 if candidate.time < core.time:
                     core = candidate
+            if stop_before_load is not None and not core._speculating:
+                # An out-of-range pc is left to Core.step to report.
+                index = core.pc_index
+                if 0 <= index < core._program_len:
+                    d = core._decoded[index]
+                    if (
+                        d[0] == K_LOAD
+                        and (core._values[d[2]] + d[3]) & WORD_MASK
+                        == stop_before_load
+                    ):
+                        break
             core.step()
             taken += 1
             if core.halted:
                 active = [c for c in active if not c.halted]
         return taken
 
-    def _overrun(self, max_steps: int) -> SimulationError:
-        return SimulationError(
-            f"exceeded {max_steps} scheduler steps; "
-            "a program probably fails to halt"
-        )
-
-    def _run_single(
-        self,
-        core: Core,
-        steps: int,
-        max_steps: int,
-        sample_interval: int | None,
-        sample_fn: Callable[["System"], object],
-        samples: list[tuple[int, object]],
-    ) -> int:
-        """Tight loop for one active core; returns the updated step count."""
+    def _run_single(self, core: Core, steps: int, budget: int) -> int:
+        """Tight loop for one active core, until it halts or ``steps``
+        reaches ``budget``; returns the updated step count."""
         step = core.step
-        if not sample_interval:
-            while True:
-                step()
-                steps += 1
-                if core.halted:
-                    return steps
-                if steps >= max_steps:
-                    raise self._overrun(max_steps)
-        while True:
+        while steps < budget:
             step()
             steps += 1
-            if steps % sample_interval == 0:
-                samples.append((steps, sample_fn(self)))
             if core.halted:
-                return steps
-            if steps >= max_steps:
-                raise self._overrun(max_steps)
+                break
+        return steps
 
-    def _run_pair(
-        self,
-        first: Core,
-        second: Core,
-        steps: int,
-        max_steps: int,
-        sample_interval: int | None,
-        sample_fn: Callable[["System"], object],
-        samples: list[tuple[int, object]],
-    ) -> int:
-        """Two active cores: direct min-time comparison, until one halts.
+    def _run_pair(self, first: Core, second: Core, budget: int) -> int:
+        """Two active cores: direct min-time comparison until one halts,
+        then the survivor alone; returns the steps taken.
 
         ``<=`` keeps the seed scheduler's tie-break (lower core index).
         """
-        while True:
+        steps = 0
+        while steps < budget:
             core = first if first.time <= second.time else second
             core.step()
             steps += 1
-            if sample_interval and steps % sample_interval == 0:
-                samples.append((steps, sample_fn(self)))
             if core.halted:
-                return steps
-            if steps >= max_steps:
-                raise self._overrun(max_steps)
-
-    def _run_heap(
-        self,
-        active: list[Core],
-        steps: int,
-        max_steps: int,
-        sample_interval: int | None,
-        sample_fn: Callable[["System"], object],
-        samples: list[tuple[int, object]],
-    ) -> int:
-        """Three or more active cores: heap keyed on (time, position).
-
-        Stepping a core only ever advances that core's own clock, so
-        re-pushing just the stepped core preserves the full min-scan order.
-        Returns as soon as any core halts; the caller re-dispatches.
-        """
-        heap = [(core.time, position, core) for position, core in enumerate(active)]
-        heapq.heapify(heap)
-        heapreplace = heapq.heapreplace
-        while True:
-            _, position, core = heap[0]
-            core.step()
-            steps += 1
-            if sample_interval and steps % sample_interval == 0:
-                samples.append((steps, sample_fn(self)))
-            if core.halted:
-                return steps
-            if steps >= max_steps:
-                raise self._overrun(max_steps)
-            heapreplace(heap, (core.time, position, core))
+                survivor = second if core is first else first
+                return self._run_single(survivor, steps, budget)
+        return steps
 
     def _result(self, samples: list[tuple[int, object]]) -> RunResult:
         hierarchy = self.hierarchy

@@ -333,14 +333,13 @@ def _racing_system():
 
 
 def test_three_core_scheduler_matches_linear_scan():
-    """``run`` hands three active cores to the heap, then the pair, then
-    the single loop; ``run_steps`` is the per-step min-time scan all three
-    must reproduce, ties to the lower core index."""
+    """``run`` hands three active cores to ``run_steps``, the per-step
+    min-time scan; it must step them in the order of a naive scan that
+    steps ``min(active, key=time)``, ties to the lower core index."""
     fast, reference = _racing_system(), _racing_system()
     result = fast.run()
-    while reference.run_steps(1_000):
-        pass
-    assert all(core.halted for core in reference.cores)
+    while active := [core for core in reference.cores if not core.halted]:
+        min(active, key=lambda core: core.time).step()
     assert result.core_cycles == [core.time for core in reference.cores]
     assert len(set(result.core_cycles)) == 3, "cores must halt at distinct times"
     assert fast.snapshot() == reference.snapshot()

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.attacks import base, leakage, scenarios
+from repro.attacks import base, leakage, replay, scenarios
 from repro.attacks.layout import AttackOptions
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExecutionError, SimulationError
 from repro.experiments import common
+from repro.isa.assembler import assemble
 from repro.isa.builder import ProgramBuilder
 from repro.runner import ScenarioJob, ScenarioProbe, run_batch
 from repro.sim.config import SystemConfig
+from repro.sim.simulator import build_system
 from repro.workloads.crypto import (
     AES_PLAINTEXT,
     AES_TABLE_LINES,
@@ -339,6 +341,32 @@ def test_unreplayed_runs_keep_their_own_secret():
     assert all(probe.succeeded for probe in fresh)
     base._programs.cache_clear()
     assert [job.run() for job in jobs] == fresh
+
+
+def _four_steps():
+    """``li``, two loads and ``halt``: four scheduler steps."""
+    program = assemble("li r1, 0x1000\nload r2, 0(r1)\nload r3, 64(r1)\nhalt")
+    return build_system([program], SystemConfig())
+
+
+def test_replay_warm_up_fits_an_exact_step_budget():
+    """A warm-up whose last step halts the last core at exactly
+    ``max_steps`` returns, as ``System.run`` does with that budget; one
+    step fewer leaves work and raises."""
+    assert _four_steps().run_steps(100) == 4
+    assert _four_steps().run(max_steps=4).instructions == 4
+    assert replay._run_to_watch(_four_steps(), 0x9000, 4) == 4
+    with pytest.raises(SimulationError, match="exceeded 3 scheduler steps"):
+        replay._run_to_watch(_four_steps(), 0x9000, 3)
+
+
+def test_replay_warm_up_reports_a_pc_past_the_program():
+    """A program that runs off its end fails the warm-up as it fails
+    ``run()``: with the core and pc, not a bare IndexError."""
+    program = assemble("li r1, 0x1000\nload r2, 0(r1)\nadd r3, r2, 1", name="t")
+    system = build_system([program], SystemConfig())
+    with pytest.raises(ExecutionError, match="core 0: pc 3 outside program 't'"):
+        replay._run_to_watch(system, 0x9000, 100)
 
 
 def test_reuse_snapshots_caches_individual_trials(tmp_path):

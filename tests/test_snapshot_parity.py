@@ -13,8 +13,10 @@ order, so a reordered set fails too).
 Also here: the snapshot versioning contract (mismatched
 ``SNAPSHOT_VERSION``, unknown/missing fields and topology mismatches all
 raise :class:`SnapshotError`), image non-aliasing (one snapshot serves
-many restores), a countdown-fusion differential, and a hypothesis
-round-trip property over random programs × random snapshot points.
+many restores), a countdown-fusion differential, stop points
+(``run_steps(stop_before_load=)``) against a per-instruction run, and a
+hypothesis round-trip property over random programs × random snapshot
+points.
 """
 
 import copy
@@ -32,6 +34,7 @@ from tools.state_diff import diff_systems, state_diff
 from repro.errors import SnapshotError
 from repro.experiments.common import PERF_CORE, security_spec
 from repro.isa.builder import ProgramBuilder
+from repro.isa.registers import WORD_MASK
 from repro.mem.cache import Cache, MemoryPort
 from repro.mem.memory import MainMemory
 from repro.runner.job import ATTACK_KINDS
@@ -218,6 +221,111 @@ def test_state_diff_reports_cache_lru_order():
         cache.access(last, now=500)  # a hit: ``last`` becomes most recent
         caches.append(cache)
     assert state_diff(*caches, path="l1") == ["l1._sets[0]: key order differs"]
+
+
+# --- stop points -----------------------------------------------------------------
+
+_STOP_BASE = 0x20000
+_WATCHED = _STOP_BASE + 128
+_SHARED = _STOP_BASE + 64
+_UNLOADED = _STOP_BASE + 4096
+
+
+def _stop_program(core_id: int):
+    """Loads of ``_SHARED`` and then ``_WATCHED``, behind a countdown loop
+    whose length depends on the core, and a transient load of
+    ``_WATCHED`` first: the opening branch is taken, but a cold predictor
+    guesses not taken, so a speculative core runs the fall-through."""
+    builder = ProgramBuilder(f"stop{core_id}")
+    builder.li("r9", _STOP_BASE).li("r1", 1).bne("r1", "zero", "skip")
+    builder.load("r2", 128, "r9")
+    builder.label("skip").li("r3", 40 + 25 * core_id)
+    builder.label("spin").sub("r3", "r3", 1).bne("r3", "zero", "spin")
+    builder.add("r4", "r9", 64).mul("r5", "r4", 3).xor("r5", "r5", "r4")
+    builder.load("r6", 0, "r4")
+    builder.add("r7", "r9", 128).sll("r5", "r6", 2).load("r8", 0, "r7")
+    builder.store("r8", 192, "r9").load("r2", 128, "r9").halt()
+    builder.data(_STOP_BASE, list(range(64)))
+    return builder.build()
+
+
+def _stop_systems(cores: int, fuse: bool, speculative: bool):
+    """A system with ``fuse`` and its fusion-off twin."""
+    programs = [_stop_program(core_id) for core_id in range(cores)]
+    config = SystemConfig(num_cores=cores)
+    core = replace(config.core, speculative_execution=speculative)
+    return tuple(
+        build_system(
+            programs, replace(config, core=replace(core, fuse_countdown_loops=on))
+        )
+        for on in (fuse, False)
+    )
+
+
+def _scheduled_loader(system, address: int):
+    """The core the scheduler steps next, when its next instruction is a
+    non-speculative load of ``address``; otherwise None."""
+    active = [core for core in system.cores if not core.halted]
+    if not active:
+        return None
+    core = min(active, key=lambda candidate: candidate.time)  # ties: lower index
+    if core.speculating or core.pc_index >= len(core.program):
+        return None
+    instruction = core.program.instructions[core.pc_index]
+    if instruction.op != "load":
+        return None
+    base = core.regs.read(instruction.rs0)
+    return core if (base + instruction.imm) & WORD_MASK == address else None
+
+
+@pytest.mark.parametrize("watch", [_SHARED, _WATCHED, _UNLOADED], ids=hex)
+@pytest.mark.parametrize("speculative", [False, True], ids=["plain", "speculative"])
+@pytest.mark.parametrize("fuse", [True, False], ids=["blocks", "no-blocks"])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_stop_point_matches_a_per_instruction_run(cores, fuse, speculative, watch):
+    """``run_steps(stop_before_load=)`` stops where a fusion-off twin,
+    stepped one instruction at a time, first schedules a non-speculative
+    load of the address (or at the end, for an address nobody loads).
+
+    The rule is exact only because blocks end at every memory op, so the
+    load always begins a step.  A block or fused loop on another core is
+    one step and may have run ahead of the stop, but only over
+    register-only instructions: the twin runs that core alone to the same
+    retired count, and then the two systems must not differ at all.
+    """
+    subject, twin = _stop_systems(cores, fuse, speculative)
+    taken = subject.run_steps(100_000, stop_before_load=watch)
+    stepped = 0
+    while _scheduled_loader(twin, watch) is None and twin.run_steps(1):
+        stepped += 1
+    assert taken <= stepped
+    loader = _scheduled_loader(twin, watch)
+    assert (loader is None) == (watch == _UNLOADED)
+    for ahead, behind in zip(subject.cores, twin.cores):
+        while (
+            behind is not loader
+            and behind.stats.instructions_retired < ahead.stats.instructions_retired
+        ):
+            behind.step()
+    assert diff_systems(subject, twin) == []
+    # Armed again at the stop, the scan takes no step.
+    assert subject.run_steps(1, stop_before_load=watch) == 0
+
+
+def test_stop_point_skips_a_transient_load():
+    """A speculative core's transient load of the address does not stop
+    the scan: it stops at the same non-speculative load as a core without
+    speculation, with the line already brought in transiently."""
+    speculative, _ = _stop_systems(1, True, speculative=True)
+    plain, _ = _stop_systems(1, True, speculative=False)
+    for system in (speculative, plain):
+        system.run_steps(100_000, stop_before_load=_WATCHED)
+    (spec_core,), (plain_core,) = speculative.cores, plain.cores
+    assert spec_core.pc_index == plain_core.pc_index
+    assert _scheduled_loader(speculative, _WATCHED) is spec_core
+    assert spec_core.stats.transient_executed > 0
+    assert speculative.hierarchy.l1ds[0].contains(_WATCHED)
+    assert not plain.hierarchy.l1ds[0].contains(_WATCHED)
 
 
 # --- versioning and shape errors -----------------------------------------------

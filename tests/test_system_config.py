@@ -101,7 +101,54 @@ def test_sampling_hook():
     assert (result.cycles, result.instructions) == (908, 86)
 
 
-_COUNTDOWN = "li r1, 1000\nloop:\nsub r1, r1, 1\nbne r1, zero, loop\nhalt"
+def _times_and_retired(system):
+    return tuple(
+        (core.time, core.stats.instructions_retired) for core in system.cores
+    )
+
+
+def test_sampling_a_two_core_run():
+    """Samples count the steps of both cores, and keep their cadence when
+    core 1 halts between two samples and core 0 runs on alone."""
+    other = """
+    li r1, 0x10000
+    li r2, 3
+    loop:
+    store r2, 64(r1)
+    load r3, 0(r1)
+    sub r2, r2, 1
+    bne r2, zero, loop
+    halt
+    """
+    system = build_system(
+        [assemble(_SAMPLED_SOURCE), assemble(other)], SystemConfig(num_cores=2)
+    )
+    result = system.run(sample_interval=10, sample_fn=_times_and_retired)
+    assert result.samples == [
+        (10, ((142, 5), (139, 5))),
+        (20, ((162, 10), (147, 10))),
+        (30, ((169, 15), (155, 15))),
+        (40, ((451, 25), (155, 15))),
+        (50, ((600, 35), (155, 15))),
+        (60, ((747, 45), (155, 15))),
+        (70, ((757, 55), (155, 15))),
+        (80, ((767, 65), (155, 15))),
+        (90, ((777, 75), (155, 15))),
+        (100, ((787, 85), (155, 15))),
+    ]
+    assert (result.cycles, result.core_instructions) == (788, [86, 15])
+
+
+def test_sampled_run_halting_on_a_sample_step_samples_it_once():
+    """The 86-step program halts on the second multiple of 43: that step
+    is sampled once, and no sample follows it."""
+    system = build_system([assemble(_SAMPLED_SOURCE)], SystemConfig())
+    result = system.run(sample_interval=43, sample_fn=_times_and_retired)
+    assert result.samples == [(43, ((865, 43),)), (86, ((908, 86),))]
+    assert (result.cycles, result.instructions) == (908, 86)
+
+
+_COUNTDOWN ="li r1, 1000\nloop:\nsub r1, r1, 1\nbne r1, zero, loop\nhalt"
 
 
 def test_sampled_run_restores_fusion():
