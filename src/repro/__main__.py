@@ -56,6 +56,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -328,10 +329,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import (
         ANALYSIS_RULES,
         analyze_program,
-        cache_distinguishers,
         leak_map,
         render_findings,
-        trial_intervals,
+        secret_trials,
     )
     from repro.errors import AnalysisError, AssemblyError
     from repro.isa.assembler import assemble
@@ -391,14 +391,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 "bounds": interval_payload(bounds),
             }
             if secrets and program.taint_sources:
-                intervals = trial_intervals(program, secrets)
+                intervals, distinguisher = secret_trials(program, secrets)
                 timing_entry["intervals"] = {
                     str(secret): interval_payload(interval)
                     for secret, interval in intervals.items()
                 }
-                distinguisher = cache_distinguishers(
-                    program, secrets=secrets
-                )
                 cache_records.append(
                     {
                         "program": program.name,
@@ -617,25 +614,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         cells = []
         findings = []
         for cell in report_grid.cells:
-            cells.append(
-                {
-                    "attack": cell.attack,
-                    "coverage": cell.coverage,
-                    "defense": cell.defense,
-                    "detail": cell.detail,
-                    "distinguishing": list(cell.distinguishing),
-                    "feasible": cell.feasible,
-                    "havoc": list(cell.havoc),
-                    "secrets": list(cell.secrets),
-                    "verdict": cell.verdict,
-                    "victim": cell.victim,
-                    "witness": (
-                        list(cell.witness)
-                        if cell.witness is not None
-                        else None
-                    ),
-                }
-            )
+            cells.append(dict(sorted(dataclasses.asdict(cell).items())))
             rule = None
             if cell.verdict == "LEAKS":
                 rule = "AN-ATTACK-FEASIBLE"

@@ -68,10 +68,9 @@ from repro.analysis.timing import (
     DistinguisherReport,
     TimingAnalysis,
     analyze_timing,
-    cache_distinguishers,
     cycle_bounds,
+    secret_trials,
     timing_map,
-    trial_intervals,
 )
 
 __all__ = [
@@ -106,7 +105,6 @@ __all__ = [
     "analyze_timing",
     "apply_havoc",
     "build_cfg",
-    "cache_distinguishers",
     "certify",
     "certify_grid",
     "cycle_bounds",
@@ -117,8 +115,8 @@ __all__ = [
     "render_findings",
     "scale_trigger_satisfiable",
     "secret_leak_union",
+    "secret_trials",
     "taint_analysis",
     "taint_of_program",
     "timing_map",
-    "trial_intervals",
 ]

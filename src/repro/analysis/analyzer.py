@@ -26,9 +26,9 @@ AN-TIMING-VAR        [info] secret-conditioned branch or secret-addressed
                      cycle cost) varies across secrets
 AN-CACHE-DISTINGUISH [info] two secrets yield different attacker-observable
                      must/may residency in a shared cache level (computed
-                     by :func:`repro.analysis.timing.cache_distinguishers`,
-                     not by :func:`analyze_program` — it needs one concrete
-                     walk per secret)
+                     by :func:`repro.analysis.timing.secret_trials`, not
+                     by :func:`analyze_program` — it needs one concrete
+                     walk per secret, forked at the secret load)
 AN-ATTACK-FEASIBLE   [info] the scenario certifier proves the attacker's
                      candidate set distinguishes secrets on an undefended
                      (or provably idle) defense row, anchored to a

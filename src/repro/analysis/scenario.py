@@ -9,7 +9,8 @@ destroying the attacker's observation.  Three layers:
   interleaved product over one shared
   :class:`~repro.analysis.cachemodel.HierarchyState` (one core per
   program) and one shared memory image: :func:`repro.analysis.timing._run`,
-  the walker :func:`~repro.analysis.timing.timing_map` runs with one core.
+  the walker :func:`~repro.analysis.timing.secret_trials` runs with one
+  core.
   Its scheduler is :meth:`repro.cpu.system.System.run_steps`'s: at every
   step the non-halted core with the smallest local time executes one
   instruction (strict ``<`` keeps the lower-index core on ties).  With
@@ -29,7 +30,8 @@ destroying the attacker's observation.  Three layers:
   the attacker-observable vector per secret.  The walk, over one core or
   two, runs once to just before the first load of that word (the stop
   rule of ``System.run_steps(stop_before_load=)``) and forks there per
-  secret.
+  secret: :func:`repro.analysis.timing._fork`, the one fork the timing
+  verifier's :func:`~repro.analysis.timing.secret_trials` uses too.
 * **Verdict** — :func:`certify` compares observables across secrets and
   applies the defense's abstract transformer
   (:mod:`repro.analysis.defense`): ``LEAKS`` when some secret pair stays
@@ -57,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.analysis.cachemodel import HierarchyState
 from repro.analysis.defense import (
     COVERAGE_CERTAIN,
     COVERAGE_NONE,
@@ -69,13 +70,12 @@ from repro.analysis.defense import (
 )
 from repro.analysis.timing import (
     DEFAULT_WALK_STEPS,
-    _run,
+    _fork,
     _Unresolved,
     _WalkState,
 )
 from repro.cpu.core import CoreConfig
 from repro.errors import ConfigError
-from repro.isa.registers import WORD_MASK
 from repro.mem.hierarchy import HierarchyConfig
 
 #: Verdict labels (stable — CLI JSON output uses them).
@@ -162,42 +162,22 @@ def _candidates(
     )
 
 
-#: A walk's end state: the final shared memory image and abstract hierarchy.
-_EndState = tuple[Mapping[int, int | None], HierarchyState]
+def _end_memory(
+    finish: Callable[[int], tuple[_WalkState, _Unresolved | None]],
+    secret: int,
+) -> Mapping[int, int | None]:
+    """The end memory of ``finish``'s walk for ``secret`` (see
+    :func:`repro.analysis.timing._fork`).
 
-
-def _secret_walk(
-    programs: Sequence[Any],
-    watch: int,
-    config: CoreConfig,
-    hconfig: HierarchyConfig,
-    max_steps: int,
-) -> Callable[[int], _EndState]:
-    """Walk one built attack; returns ``finish(secret)``.
-
-    ``finish`` gives the end state of the walk whose data word at
-    ``watch`` is ``secret``.  The walk runs once, here, to just before the
-    first load of ``watch``, which is the first step that can depend on
-    the secret.  ``finish`` copies that state, writes the secret word into
-    the copy and walks the rest on the same budget.  If every core halts
-    before that load, every secret shares the one end state.  A store to
-    an unresolved address leaves no word of the end state known.
+    Raises the :class:`_Unresolved` that stopped the walk early, or a new
+    one when a store to an unresolved address left no word known.
     """
-    budget = max_steps * len(programs)
-    prefix = _WalkState(programs, hconfig)
-    stopped = _run(prefix, config, budget, watch)
-
-    def finish(secret: int) -> _EndState:
-        walk = prefix
-        if stopped:
-            walk = prefix.copy()
-            walk.memory[watch] = secret & WORD_MASK
-            _run(walk, config, budget)
-        if walk.clobbered:
-            raise _Unresolved("a store to an unresolved address clobbered memory")
-        return walk.memory, walk.shared
-
-    return finish
+    walk, unresolved = finish(secret)
+    if unresolved is not None:
+        raise unresolved
+    if walk.clobbered:
+        raise _Unresolved("a store to an unresolved address clobbered memory")
+    return walk.memory
 
 
 def _read_candidates(
@@ -305,17 +285,15 @@ def _observe(
             failure=failure,
         )
 
+    watch = frozenset({probe.layout.secret_addr})
+    finish = _fork(programs, watch, config, hconfig, max_steps)
     candidates: dict[int, frozenset[int]] = {}
     feasible = True
     try:
-        finish = _secret_walk(
-            programs, probe.layout.secret_addr, config, hconfig, max_steps
-        )
         for secret in secret_tuple:
             # ``replace`` re-runs AttackOptions' range check per secret.
             trial = replace(options, secret=secret)
-            memory, _ = finish(secret)
-            observed = _read_candidates(probe, memory)
+            observed = _read_candidates(probe, _end_memory(finish, secret))
             candidates[secret] = observed
             expected = frozenset(descriptor.expected_indices(secret, trial))
             feasible = feasible and observed == expected

@@ -17,24 +17,26 @@ Three layers on top of :mod:`repro.analysis.cachemodel`:
   successor paths differ in minimum remaining cost, or a secret-addressed
   access whose abstract latency interval is not a single point (its
   hit/miss state varies across secrets).
-* :func:`timing_map` / :func:`cache_distinguishers` — the dynamic
-  counterpart: bind the declared secret cells to one concrete secret and
+* :func:`secret_trials` / :func:`timing_map` — the dynamic
+  counterpart: put one concrete secret in the declared secret cells and
   *walk* the program with exact register/memory/cache state (the analog
   of :func:`~repro.analysis.taint.leak_map`'s feasible-edges constant
   propagation, extended with the abstract hierarchy and the core's exact
   cost model, including ``rdcycle`` values and countdown-loop fusion).
   On a fully resolved walk the abstract cache degenerates to exact LRU
-  and the returned interval is a single point — which
+  and each secret's interval is a single point — which
   ``tests/test_timing_oracle.py`` pins against the simulator's measured
-  cycles for every victim × secret.  :func:`cache_distinguishers` runs
-  the walk once per secret and compares the attacker-observable must/may
+  cycles for every victim × secret.  From the same walk per secret,
+  :func:`secret_trials` also compares the attacker-observable must/may
   block sets at the last secret-addressed access (``AN-CACHE-DISTINGUISH``).
 
 The walk is one step function (:func:`_step`) and one scheduler loop
-(:func:`_run`) over :class:`_WalkState`, one core per program.  The
-certifier in :mod:`repro.analysis.scenario` runs it with one or two
-programs; the functions here run it with one.  The core count alone
-decides how imprecision is treated (see :class:`_WalkState`).
+(:func:`_run`) over :class:`_WalkState`, one core per program, and one
+fork (:func:`_fork`): the steps before the first load of a secret cell
+are walked once, and a copy of that state is finished per secret.  The
+certifier in :mod:`repro.analysis.scenario` forks a walk of one or two
+programs; :func:`secret_trials` forks one.  The core count alone decides
+how imprecision is treated (see :class:`_WalkState`).
 
 Scope: the non-speculative semantics the undefended ``Base``
 configuration runs (no prefetcher, default :class:`~repro.cpu.core.CoreConfig`).
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.cachemodel import HierarchyState, LatencyInterval
 from repro.analysis.cfg import EXIT, ControlFlowGraph, build_cfg
@@ -407,7 +409,7 @@ def timing_variations(
     return tuple(variations)
 
 
-# -- exact walk (timing_map, cache distinguishers and the certifier) -----------
+# -- exact walk (secret trials and the certifier) -------------------------------
 
 
 class _Unresolved(Exception):
@@ -418,23 +420,18 @@ class _Unresolved(Exception):
         self.reason = reason
 
 
-def _initial_memory(
-    programs: Sequence[Any], bindings: Mapping[int, int]
-) -> dict[int, int | None]:
-    """Word store at t=0: every program's data segments, then ``bindings``.
+def _initial_memory(programs: Sequence[Any]) -> dict[int, int | None]:
+    """Word store at t=0: every program's data segments.
 
     Mirrors :meth:`repro.mem.memory.MainMemory.load_program_data` for
     each program in core order, as :class:`repro.cpu.system.System` loads
-    them into one shared memory, plus the snapshot-replay path's per-trial
-    secret poke.
+    them into one shared memory.
     """
     memory: dict[int, int | None] = {}
     for program in programs:
         for segment in program.data_segments:
             for offset, value in enumerate(segment.values):
                 memory[segment.base + offset * segment.stride] = value & WORD_MASK
-    for address, value in bindings.items():
-        memory[address] = value & WORD_MASK
     return memory
 
 
@@ -511,13 +508,13 @@ class _WalkState:
     """Everything a walk step reads or writes, so a walk can fork.
 
     One core per program over one shared hierarchy and one word store
-    (every program's data segments, then ``bindings``).  ``active`` holds
-    the cores that have not halted, ``steps`` counts the steps taken
-    against the walk's budget, and ``snapshots`` records
-    ``(index, observable)`` after each observed instruction.
+    (every program's data segments).  ``active`` holds the cores that have
+    not halted, ``steps`` counts the steps taken against the walk's
+    budget, and ``snapshots`` records ``(index, observable)`` after each
+    observed instruction.
 
     The core count sets how the walk treats imprecision.  One core walks
-    the way :func:`timing_map` bounds a run: an unresolved address havocs
+    the way :func:`secret_trials` bounds a run: an unresolved address havocs
     the hierarchy (a store there sets ``clobbered``, after which no word
     is known), a store of an unknown value leaves that word unknown
     (``None``), a widened latency widens ``[lo, hi]``, and a software
@@ -532,13 +529,10 @@ class _WalkState:
     )
 
     def __init__(
-        self,
-        programs: Sequence[Any],
-        hconfig: HierarchyConfig,
-        bindings: Mapping[int, int] | None = None,
+        self, programs: Sequence[Any], hconfig: HierarchyConfig
     ) -> None:
         self.shared = HierarchyState(hconfig, num_cores=len(programs))
-        self.memory = _initial_memory(programs, bindings or {})
+        self.memory = _initial_memory(programs)
         self.clobbered = False
         self.cores = tuple(
             _CoreWalk(core_id, tuple(program.decoded))
@@ -707,22 +701,22 @@ def _run(
     walk: _WalkState,
     config: CoreConfig,
     budget: int,
-    watch: int | None = None,
+    watch: frozenset[int] = frozenset(),
     observe: frozenset[int] = frozenset(),
 ) -> bool:
     """Advance ``walk`` in place; returns False once every core halts.
 
     Scheduling is :meth:`repro.cpu.system.System.run_steps`'s: the
     non-halted core with the smallest local time steps next, strict ``<``
-    keeping the lower-index core on ties.  With ``watch`` set, the walk
-    stops *before* a core executes a load whose effective address is
-    ``watch`` and returns True (the stop rule of
-    ``System.run_steps(stop_before_load=)``), so every load address up to
-    there must resolve.  After each instruction whose index is in
-    ``observe``, the stepping core's observable is appended to
-    ``walk.snapshots``.  ``budget`` bounds ``walk.steps`` over every call
-    on one walk.  Raises :class:`_Unresolved` when a step does or the
-    budget runs out.
+    keeping the lower-index core on ties.  The walk stops *before* a core
+    executes a load whose effective address is in ``watch`` and returns
+    True (the stop rule of ``System.run_steps(stop_before_load=)``).  A
+    load whose base register is unknown does not stop it: one core then
+    havocs, and :func:`_step` ends an exact walk there.  After each
+    instruction whose index is in ``observe``, the stepping core's
+    observable is appended to ``walk.snapshots``.  ``budget`` bounds
+    ``walk.steps`` over every call on one walk.  Raises
+    :class:`_Unresolved` when a step does or the budget runs out.
     """
     fuse = config.fuse_countdown_loops and not config.speculative_execution
     active = walk.active
@@ -737,13 +731,14 @@ def _run(
                     if core.lo < best.lo:
                         best = core
             pc = best.pc
-            if watch is not None and 0 <= pc < best.n:
+            if watch and 0 <= pc < best.n:
                 tup = best.decoded[pc]
                 if tup[0] == K_LOAD:
                     base = best.regs.get(tup[2])
-                    if base is None:
-                        raise best.unknown(tup[2])
-                    if (base + tup[3]) & WORD_MASK == watch:
+                    if (
+                        base is not None
+                        and (base + tup[3]) & WORD_MASK in watch
+                    ):
                         return True
             steps += 1
             if _step(walk, best, config, fuse):
@@ -762,62 +757,48 @@ def _run(
     return False
 
 
-def _walk(
-    program: Any,
-    secret: int,
+def _fork(
+    programs: Sequence[Any],
+    watch: frozenset[int],
     config: CoreConfig,
     hconfig: HierarchyConfig,
-    observe: frozenset[int],
     max_steps: int,
-) -> tuple[_WalkState, bool]:
-    """Walk ``program`` alone from t=0 with its declared secrets bound to
-    ``secret``; returns the walk and whether it ran to ``halt``.
+    observe: frozenset[int] = frozenset(),
+) -> Callable[[int], tuple[_WalkState, _Unresolved | None]]:
+    """Fork one walk of ``programs`` per secret; returns ``finish(secret)``.
 
-    A walk that ends early keeps the time bounds and snapshots it reached.
+    ``finish`` gives the end of the walk whose words at ``watch`` hold
+    ``secret``, with the :class:`_Unresolved` that stopped it early or
+    ``None``.  The walk runs once, here, to just before the first load of
+    a watched address, which is the first step that can read the secret.
+    ``finish`` copies that state, writes the secret into every watched
+    word of the copy and walks the rest on the same budget, ``max_steps``
+    per program.  The secret replaces what the walk stored there before,
+    as snapshot replay pokes a trial's secret into a warm image.  If the
+    walk halts or stops before that load, every secret shares its end.
     """
-    bindings = dict.fromkeys(program.taint_sources, secret)
-    walk = _WalkState((program,), hconfig, bindings)
+    budget = max_steps * len(programs)
+    prefix = _WalkState(programs, hconfig)
+    stopped = False
+    failure: _Unresolved | None = None
     try:
-        _run(walk, config, max_steps, observe=observe)
-    except _Unresolved:
-        return walk, False
-    return walk, True
+        stopped = _run(prefix, config, budget, watch, observe)
+    except _Unresolved as unresolved:
+        failure = unresolved
 
+    def finish(secret: int) -> tuple[_WalkState, _Unresolved | None]:
+        if not stopped:
+            return prefix, failure
+        walk = prefix.copy()
+        for address in sorted(watch):
+            walk.memory[address] = secret & WORD_MASK
+        try:
+            _run(walk, config, budget, observe=observe)
+        except _Unresolved as unresolved:
+            return walk, unresolved
+        return walk, None
 
-def timing_map(
-    program: Any,
-    secret: int,
-    hierarchy: HierarchyConfig | None = None,
-    core: CoreConfig | None = None,
-    *,
-    max_steps: int = DEFAULT_WALK_STEPS,
-) -> CycleInterval:
-    """Cycle interval of ``program`` when its declared secrets equal ``secret``.
-
-    The analog of :func:`~repro.analysis.taint.leak_map`: every declared
-    taint-source cell is bound to ``secret`` (overriding the data-segment
-    value, exactly as snapshot replay pokes trial secrets into a warm
-    image) and the program is walked concretely.  When every branch and
-    address resolves, the abstract hierarchy tracks the simulator's LRU
-    exactly and the result is a point interval equal to the undefended
-    run's ``RunResult.cycles``; an unresolved step returns ``hi=None``
-    with a sound lower bound instead.
-    """
-    config = core or CoreConfig()
-    if config.speculative_execution:
-        return CycleInterval(0, None)
-    if not program.decoded:
-        return CycleInterval(0, 0)
-    walk, halted = _walk(
-        program,
-        secret,
-        config,
-        hierarchy or HierarchyConfig(),
-        frozenset(),
-        max_steps,
-    )
-    (walked,) = walk.cores
-    return CycleInterval(walked.lo, walked.hi if halted else None)
+    return finish
 
 
 @dataclass(frozen=True)
@@ -837,71 +818,42 @@ class DistinguisherReport:
     detail: str
 
 
-def _walk_observable(
-    program: Any,
-    secret: int,
-    watch: frozenset[int],
-    config: CoreConfig,
-    hconfig: HierarchyConfig,
-    max_steps: int,
-) -> tuple[int | None, tuple[Any, ...]] | None:
-    walk, halted = _walk(program, secret, config, hconfig, watch, max_steps)
-    if walk.snapshots:
-        return walk.snapshots[-1]
-    if halted:
-        return (None, walk.shared.observable(0))
-    return None
+#: A walk's last observation: the instruction index (``None`` for the
+#: halt state) and the attacker-observable residency there.
+_Observation = tuple[int | None, tuple[Any, ...]]
 
 
-def cache_distinguishers(
-    program: Any,
-    secrets: Sequence[int] = (0, 1, 2, 3),
-    hierarchy: HierarchyConfig | None = None,
-    core: CoreConfig | None = None,
-    *,
-    max_steps: int = DEFAULT_WALK_STEPS,
+def _distinguisher(
+    secrets: tuple[int, ...], observed: Mapping[int, _Observation] | None
 ) -> DistinguisherReport:
-    """Compare attacker-observable cache residency across concrete secrets.
+    """Compare the observations of every secret whose walk resolved.
 
-    The observable is the attacker's side of the channel: the must/may
-    block sets of both levels, sampled right after the victim's last
-    secret-addressed access executes (a taint-clean program falls back to
-    the halt state, where a genuinely constant-time program converges for
-    every secret).  Two secrets with different observables mean a shared
-    cache level distinguishes them — the AN-CACHE-DISTINGUISH verdict.
+    ``observed is None`` means the comparison was not run.
     """
-    secret_tuple = tuple(dict.fromkeys(secrets))
-    config = core or CoreConfig()
-    if config.speculative_execution or len(secret_tuple) < 2:
+    if observed is None:
         return DistinguisherReport(
-            secrets=secret_tuple,
+            secrets=secrets,
             distinguishable=False,
             witness=None,
             index=None,
             detail="not evaluated (needs >= 2 secrets, non-speculative core)",
         )
-    taint = taint_of_program(program)
-    watch = frozenset(taint.secret_addressed())
-    hconfig = hierarchy or HierarchyConfig()
-    observed: list[tuple[int, tuple[int | None, tuple[Any, ...]]]] = []
-    for secret in secret_tuple:
-        observable = _walk_observable(
-            program, secret, watch, config, hconfig, max_steps
-        )
-        if observable is None:
+    for secret in secrets:
+        if secret not in observed:
             return DistinguisherReport(
-                secrets=secret_tuple,
+                secrets=secrets,
                 distinguishable=False,
                 witness=None,
                 index=None,
                 detail=f"walk for secret {secret} did not resolve",
             )
-        observed.append((secret, observable))
-    first_secret, (first_index, first_state) = observed[0]
-    for secret, (index, observable) in observed[1:]:
+    first_secret = secrets[0]
+    first_index, first_state = observed[first_secret]
+    for secret in secrets[1:]:
+        index, observable = observed[secret]
         if observable != first_state or index != first_index:
             return DistinguisherReport(
-                secrets=secret_tuple,
+                secrets=secrets,
                 distinguishable=True,
                 witness=(first_secret, secret),
                 index=first_index if first_index is not None else index,
@@ -911,29 +863,101 @@ def cache_distinguishers(
                 ),
             )
     return DistinguisherReport(
-        secrets=secret_tuple,
+        secrets=secrets,
         distinguishable=False,
         witness=None,
         index=None,
         detail=(
-            f"all {len(secret_tuple)} secrets converge to one "
+            f"all {len(secrets)} secrets converge to one "
             "attacker-observable residency state"
         ),
     )
 
 
-def trial_intervals(
+def secret_trials(
     program: Any,
     secrets: Sequence[int],
     hierarchy: HierarchyConfig | None = None,
     core: CoreConfig | None = None,
     *,
     max_steps: int = DEFAULT_WALK_STEPS,
-) -> dict[int, CycleInterval]:
-    """:func:`timing_map` over a secret set (the CLI's per-secret table)."""
-    return {
-        secret: timing_map(
-            program, secret, hierarchy, core, max_steps=max_steps
+) -> tuple[dict[int, CycleInterval], DistinguisherReport]:
+    """Walk ``program`` once per distinct secret; read two answers off it.
+
+    Each walk holds the secret in every declared taint-source cell,
+    written just before the first load of one of them (:func:`_fork`),
+    exactly as snapshot replay pokes trial secrets into a warm image.  The
+    walks share everything before that load.
+
+    The first answer maps each secret to the program's cycle interval.
+    When every branch and address resolves, the abstract hierarchy tracks
+    the simulator's LRU exactly and the interval is a point equal to the
+    undefended run's ``RunResult.cycles``; an unresolved step gives
+    ``hi=None`` over a sound lower bound.
+
+    The second is the AN-CACHE-DISTINGUISH verdict.  It compares the
+    attacker's side of the channel, the must/may block sets of both
+    levels, right after the victim's last secret-addressed access executes
+    (a taint-clean program falls back to the halt state, where a
+    constant-time program converges for every secret).  Two secrets with
+    different observables mean a shared cache level distinguishes them.
+    It needs two distinct secrets and a non-speculative core.
+    """
+    secret_tuple = tuple(dict.fromkeys(secrets))
+    config = core or CoreConfig()
+    if config.speculative_execution:
+        return (
+            dict.fromkeys(secret_tuple, CycleInterval(0, None)),
+            _distinguisher(secret_tuple, None),
         )
-        for secret in dict.fromkeys(secrets)
-    }
+    compare = len(secret_tuple) >= 2
+    observe = frozenset(
+        taint_of_program(program).secret_addressed() if compare else ()
+    )
+    finish = _fork(
+        (program,),
+        frozenset(program.taint_sources),
+        config,
+        hierarchy or HierarchyConfig(),
+        max_steps,
+        observe,
+    )
+    intervals: dict[int, CycleInterval] = {}
+    observed: dict[int, _Observation] = {}
+    for secret in secret_tuple:
+        walk, unresolved = finish(secret)
+        (walked,) = walk.cores
+        halted = unresolved is None
+        intervals[secret] = CycleInterval(
+            walked.lo, walked.hi if halted else None
+        )
+        if walk.snapshots:
+            observed[secret] = walk.snapshots[-1]
+        elif halted:
+            observed[secret] = (None, walk.shared.observable(0))
+    if not program.decoded:
+        intervals = dict.fromkeys(secret_tuple, CycleInterval(0, 0))
+    return intervals, _distinguisher(
+        secret_tuple, observed if compare else None
+    )
+
+
+def timing_map(
+    program: Any,
+    secret: int,
+    hierarchy: HierarchyConfig | None = None,
+    core: CoreConfig | None = None,
+    *,
+    max_steps: int = DEFAULT_WALK_STEPS,
+) -> CycleInterval:
+    """Cycle interval of ``program`` when its declared secrets equal
+    ``secret``: :func:`secret_trials` for one secret.
+
+    The analog of :func:`~repro.analysis.taint.leak_map`: the declared
+    taint-source cells hold ``secret`` and the program is walked
+    concretely.
+    """
+    intervals, _ = secret_trials(
+        program, (secret,), hierarchy, core, max_steps=max_steps
+    )
+    return intervals[secret]

@@ -14,8 +14,9 @@ Three systems run each draw:
   fuses countdown loops;
 * a ``fuse_countdown_loops=False`` twin through ``run()``, which executes
   one instruction per step through the handler table;
-* that twin again through ``run_steps`` to completion, the per-step
-  min-time scan.
+* that twin again, stepped by a naive loop that steps the core with the
+  least local time (``min`` keeps the lower index on ties) and uses no
+  scheduler of ``System``.
 
 All three must agree on every core's time, on the ``RunResult`` and, by
 ``tools.state_diff.diff_systems``, on every field of the final state.
@@ -253,7 +254,12 @@ def test_blocks_match_the_per_instruction_path(data):
     stepped = build_system(programs, twin)
     result = blocks.run(max_steps=MAX_STEPS)
     reference = interpreted.run(max_steps=MAX_STEPS)
-    assert stepped.run_steps(MAX_STEPS) < MAX_STEPS
+    for _ in range(MAX_STEPS):
+        active = [core for core in stepped.cores if not core.halted]
+        if not active:
+            break
+        min(active, key=lambda core: core.time).step()
+    assert all(core.halted for core in stepped.cores)
 
     times = [core.time for core in blocks.cores]
     assert times == [core.time for core in interpreted.cores]

@@ -21,13 +21,14 @@ import pytest
 
 from repro.analysis.scenario import (
     UNKNOWN,
+    _end_memory,
     _read_candidates,
-    _secret_walk,
     certify,
     certify_grid,
 )
 from repro.analysis.timing import (
     DEFAULT_WALK_STEPS,
+    _fork,
     _initial_memory,
     _run,
     _Unresolved,
@@ -102,7 +103,7 @@ def test_builds_for_every_secret_differ_only_in_the_secret_word(victim, attack):
             assert got.taint_sources == want.taint_sources
             assert got.suppressions == want.suppressions
             assert _words_except(got, watch) == _words_except(want, watch)
-            word = _initial_memory([got], {}).get(watch)
+            word = _initial_memory([got]).get(watch)
             if word is not None:
                 carriers.append(word)
         # Exactly one program writes the word, so writing it into the
@@ -114,16 +115,18 @@ def test_builds_for_every_secret_differ_only_in_the_secret_word(victim, attack):
 def test_one_walk_per_pair_matches_a_rebuild_per_secret(victim, attack):
     secrets = get_victim(victim).trial_secrets(SECRETS)
     probe = _build(victim, attack, secrets[0])
-    finish = _secret_walk(
+    finish = _fork(
         probe.build_programs(),
-        probe.layout.secret_addr,
+        frozenset({probe.layout.secret_addr}),
         CONFIG,
         HCONFIG,
         DEFAULT_WALK_STEPS,
     )
     seen = set()
     for secret in secrets:
-        memory, shared = finish(secret)
+        walk, unresolved = finish(secret)
+        assert unresolved is None, secret
+        memory, shared = walk.memory, walk.shared
         rebuilt = _build(victim, attack, secret)
         want_memory, want_shared = _walk_from_t0(rebuilt.build_programs())
         assert memory == want_memory, secret
@@ -143,7 +146,7 @@ def test_product_walk_forks_before_the_first_secret_load(victim, attack):
     programs = probe.build_programs()
     budget = DEFAULT_WALK_STEPS * len(programs)
     prefix = _WalkState(programs, HCONFIG)
-    assert _run(prefix, CONFIG, budget, watch)
+    assert _run(prefix, CONFIG, budget, frozenset({watch}))
     # The core the scheduler picks next is about to load the secret word.
     best = min(prefix.active, key=lambda core: (core.lo, core.core_id))
     kind, _rd, base, imm, _pc = best.decoded[best.pc]
@@ -167,7 +170,9 @@ def test_running_out_of_steps_reports_the_rebuilds_reason():
         programs = probe.build_programs()
         cores = len(programs)
         prefix = _WalkState(programs, HCONFIG)
-        assert _run(prefix, CONFIG, DEFAULT_WALK_STEPS * cores, watch)
+        assert _run(
+            prefix, CONFIG, DEFAULT_WALK_STEPS * cores, frozenset({watch})
+        )
         whole = _WalkState(programs, HCONFIG)
         _run(whole, CONFIG, DEFAULT_WALK_STEPS * cores)
         # A walk's budget is max_steps per core.
@@ -179,9 +184,10 @@ def test_running_out_of_steps_reports_the_rebuilds_reason():
             with pytest.raises(_Unresolved) as want:
                 _run(_WalkState(rebuilt, HCONFIG), CONFIG, cores * max_steps)
             with pytest.raises(_Unresolved) as got:
-                _secret_walk(programs, watch, CONFIG, HCONFIG, max_steps)(
-                    secrets[1]
+                finish = _fork(
+                    programs, frozenset({watch}), CONFIG, HCONFIG, max_steps
                 )
+                _end_memory(finish, secrets[1])
             assert got.value.reason == want.value.reason
             assert want.value.reason.startswith(
                 f"product walk exhausted {cores * max_steps} steps"

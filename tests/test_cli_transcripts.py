@@ -4,7 +4,10 @@ The attack-facing commands turn attack runs into printed verdicts:
 ``attack`` for each kind and challenge flag, the Table II ``ablation``,
 ``figure8`` and a tiny ``frontier`` grid.  The performance tables
 (``table 4`` and ``table 6`` at scale 0.1) print the cycle-derived
-speedups of many single-core simulations.  Each command is run in-process
+speedups of many single-core simulations.  ``analyze --builtin --taint
+--timing --certify`` prints the static verifiers' text report: findings,
+leak maps, per-secret cycle intervals, cache distinguishers and the
+certify matrix (its JSON form is ``tests/golden/analyze_builtin.json``).  Each command is run in-process
 through :func:`repro.__main__.main` and its exit code and stdout are
 compared against ``tests/golden/cli_transcripts.json``, so a refactor of
 the attack-job plumbing or of the simulator's dispatch cannot move a
@@ -56,6 +59,7 @@ TRANSCRIPTS: tuple[tuple[str, ...], ...] = (
     ),
     ("table", "4", "--scale", "0.1"),
     ("table", "6", "--scale", "0.1"),
+    ("analyze", "--builtin", "--taint", "--timing", "--certify"),
 )
 
 

@@ -13,18 +13,13 @@ both against the real simulator:
   constant-time (one exact interval across its whole secret space, zero
   measured variance), while AES/RSA/ECDSA trip ``AN-TIMING-VAR``
   exactly at the accesses/branches whose ``expected_indices`` vary, and
-  :func:`~repro.analysis.cache_distinguishers` separates leaky victims
-  from the control.
+  :func:`~repro.analysis.secret_trials`' distinguisher verdict separates
+  leaky victims from the control.
 """
 
 import pytest
 
-from repro.analysis import (
-    cache_distinguishers,
-    taint_of_program,
-    timing_map,
-    trial_intervals,
-)
+from repro.analysis import secret_trials, taint_of_program, timing_map
 from repro.attacks import scenarios
 from repro.runner import ATTACK_KINDS
 from repro.workloads.crypto import get_victim, victim_names
@@ -78,7 +73,7 @@ def test_simulated_cycles_within_static_bounds(name, base_cells):
 def test_const_lookup_certified_constant_time(base_cells):
     victim = get_victim("const-lookup")
     program = victim_program("const-lookup")
-    intervals = trial_intervals(program, range(victim.secret_space))
+    intervals, _ = secret_trials(program, range(victim.secret_space))
     assert len(intervals) == victim.secret_space
     distinct = {(iv.lo, iv.hi) for iv in intervals.values()}
     assert len(distinct) == 1, distinct
@@ -94,7 +89,7 @@ def test_leaky_victims_vary_statically():
     branchy one); the rest still vary in cache state (next test)."""
     victim = get_victim("rsa-sqmul")
     program = victim_program("rsa-sqmul")
-    intervals = trial_intervals(
+    intervals, _ = secret_trials(
         program, victim.trial_secrets(min(8, victim.secret_space))
     )
     assert len({(iv.lo, iv.hi) for iv in intervals.values()}) > 1
@@ -128,8 +123,8 @@ def test_timing_var_anchors_match_taint_surface(name):
 def test_cache_distinguisher_verdicts(name):
     victim = get_victim(name)
     program = victim_program(name)
-    report = cache_distinguishers(
-        program, secrets=victim.trial_secrets(min(8, victim.secret_space))
+    _, report = secret_trials(
+        program, victim.trial_secrets(min(8, victim.secret_space))
     )
     if name in CRYPTO_LEAKY:
         assert report.distinguishable, name

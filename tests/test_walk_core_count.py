@@ -1,7 +1,8 @@
 """One walker, two treatments of imprecision, chosen by the core count.
 
-``repro.analysis.timing`` walks one program for ``timing_map`` and
-``cache_distinguishers``, and one or two programs for the certifier.  A
+``repro.analysis.timing`` walks one program for ``secret_trials`` (and
+``timing_map``, its one-secret reader), and one or two programs for the
+certifier, forking each walk per secret at the secret load.  A
 single core bounds what it cannot resolve: an unresolved address havocs
 the hierarchy, an unknown stored value leaves its word unknown, a store
 to an unresolved address leaves every word unknown, a widened latency
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.scenario import _secret_walk
+from repro.analysis.scenario import _end_memory
 from repro.analysis.timing import (
     DEFAULT_WALK_STEPS,
     CycleInterval,
+    _fork,
     _run,
     _Unresolved,
     _WalkState,
@@ -88,11 +90,12 @@ def test_one_core_store_to_an_unresolved_address_clobbers_memory():
     assert 3 not in walk.cores[0].regs
     # The certifier reads its observations from the end state's memory,
     # so a clobbered end state is no observation.
-    finish = _secret_walk(
-        [UNKNOWN_TARGET], SECRET, CONFIG, HCONFIG, DEFAULT_WALK_STEPS
+    watch = frozenset({SECRET})
+    finish = _fork(
+        [UNKNOWN_TARGET], watch, CONFIG, HCONFIG, DEFAULT_WALK_STEPS
     )
     with pytest.raises(_Unresolved, match="clobbered memory"):
-        finish(1)
+        _end_memory(finish, 1)
 
 
 @pytest.mark.parametrize(
