@@ -31,11 +31,12 @@ speculation); anything else falls back to the per-job rebuild path in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING, Any
 
 from repro.cpu.system import System
 from repro.errors import SimulationError
+from repro.sim.config import SystemConfig
 
 if TYPE_CHECKING:
     from repro.runner.job import ScenarioJob, ScenarioProbe
@@ -68,6 +69,35 @@ def replay_group_key(job: ScenarioJob) -> str:
     from repro.runner.job import job_key
 
     return job_key(neutral_job(job))
+
+
+def replay_cell(job: ScenarioJob) -> tuple[Any, ...]:
+    """A cheap key that refines :func:`replay_group_key`: jobs with equal
+    cells have equal group keys.
+
+    It holds every field of ``job`` but the trial secret, each scalar as
+    ``(type, value)`` and each ``SystemConfig`` by identity, because ``1``,
+    ``1.0`` and ``True`` compare equal but fingerprint differently.  Jobs
+    of one cell may still sit in different cells here (two equal configs
+    are two identities), so a planner keys each cell once and merges cells
+    whose group keys match.  The options must hold scalars only, as
+    :class:`~repro.attacks.layout.AttackOptions` does.
+    """
+    parts: list[Any] = []
+    for field in fields(job):
+        value = getattr(job, field.name)
+        if isinstance(value, SystemConfig):
+            parts.append(id(value))
+        elif field.name == "options":
+            options: list[Any] = []
+            for option in fields(value):
+                if option.name != "secret":
+                    item = getattr(value, option.name)
+                    options.append((option.name, type(item), item))
+            parts.append(tuple(options))
+        else:
+            parts.append((type(value), value))
+    return tuple(parts)
 
 
 @dataclass(frozen=True)

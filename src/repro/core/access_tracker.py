@@ -45,6 +45,7 @@ class AccessTracker:
         # replacement, reset and restore keep it current.
         self._by_pc: dict[int, int] = {}
         self._lru = LRUTracker()
+        self._block_mask = ~(amap.block_size - 1)
         self.proposals = 0
         self.guided_proposals = 0
         self.allocation_failures = 0
@@ -152,9 +153,18 @@ class AccessTracker:
             guided_scale: trusted scale from the Record Protector; when given
                 it overrides DiffMin and the request is attributed to ``rp``.
         """
-        buffer = self.allocate(observation.pc)
-        if buffer is None:
-            return []
+        index = self._by_pc.get(observation.pc)
+        if index is None:
+            buffer = self.allocate(observation.pc)
+            if buffer is None:
+                return []
+        else:
+            # A known PC: allocate's lookup and LRUTracker.touch, inlined
+            # because every load reaches here.
+            lru = self._lru
+            lru._clock += 1
+            lru._stamp[index] = lru._clock
+            buffer = self.buffers[index]
         block_addr = observation.block_addr
         entries = buffer.entries
         # DiffMin depends only on the entry set, so it is recomputed only
@@ -174,12 +184,13 @@ class AccessTracker:
         if not step:
             return []
         requests: list[PrefetchRequest] = []
+        block_mask = self._block_mask
         for candidate in (block_addr + step, block_addr - step):
             if len(requests) >= self.max_prefetches:
                 break
             if candidate < 0:
                 continue
-            if buffer.contains(self.amap.block_addr(candidate)):
+            if candidate & block_mask in entries:
                 continue
             if l1d_contains(candidate):
                 continue

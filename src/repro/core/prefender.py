@@ -62,9 +62,11 @@ class Prefender(Prefetcher):
             if self.config.rp_enabled
             else None
         )
-        # A tracking-only ScaleTracker is needed for RP's trigger condition
-        # even when ST prefetching is disabled (Prefender-AT+RP in Fig. 8).
-        self._range_probe = ScaleTracker(self.amap)
+        # ST's trigger range (cacheline < sc < page), which also gates RP's
+        # scale recording when ST prefetching is disabled (Prefender-AT+RP
+        # in Fig. 8).
+        self._min_scale = self.amap.block_size
+        self._max_scale = self.amap.page_size
 
     def reset(self) -> None:
         if self.scale_tracker is not None:
@@ -163,30 +165,31 @@ class Prefender(Prefetcher):
         if observation.op != "load":
             return []
         requests: list[PrefetchRequest] = []
+        record_protector = self.record_protector
 
-        scale_in_range = self._range_probe.scale_in_range(observation.scale)
-        if scale_in_range and self.record_protector is not None:
-            self.record_protector.record_scale(
-                observation.scale, observation.block_addr
-            )
-        if self.scale_tracker is not None:
-            requests.extend(
-                self.scale_tracker.observe_load(observation, l1d_contains)
-            )
+        # ScaleTracker.observe_load proposes nothing out of its trigger
+        # range, so it is called only in range.
+        scale = observation.scale
+        if self._min_scale < scale < self._max_scale:
+            if record_protector is not None:
+                record_protector.record_scale(scale, observation.block_addr)
+            if self.scale_tracker is not None:
+                requests = self.scale_tracker.observe_load(observation, l1d_contains)
 
-        if self.access_tracker is not None:
+        access_tracker = self.access_tracker
+        if access_tracker is not None:
             guided_scale = None
-            if self.record_protector is not None:
-                guided_scale = self.record_protector.guidance_for(
-                    observation, self.access_tracker
+            if record_protector is not None:
+                guided_scale = record_protector.guidance_for(
+                    observation, access_tracker
                 )
             requests.extend(
-                self.access_tracker.observe_load(
+                access_tracker.observe_load(
                     observation, l1d_contains, guided_scale=guided_scale
                 )
             )
-            if self.record_protector is not None and guided_scale is not None:
-                self.record_protector.protect_after_allocation(
-                    observation, self.access_tracker
+            if record_protector is not None and guided_scale is not None:
+                record_protector.protect_after_allocation(
+                    observation, access_tracker
                 )
         return requests

@@ -26,8 +26,11 @@ the core not speculating, a step at a basic-block leader runs the
 straight-line run of register-only instructions there (and, on a core
 without speculative execution, its closing branch) as one generated
 function from :mod:`repro.cpu.blocks`.  Every other step runs one
-instruction through the handler table; ``tests/test_block_fuzz.py``
-checks that blocks and the table agree on every cycle and counter.
+instruction through the handler table.  A core that runs alone also has
+a lone-core table (:meth:`Core.lone_blocks`), whose blocks run memory ops
+too and which ``System._run_single`` calls without ``step``;
+``tests/test_block_fuzz.py`` checks that both tables and the handler
+table agree on every cycle and counter.
 
 Speculative execution (``CoreConfig.speculative_execution``) models the
 Spectre-v1 substrate: conditional branches are predicted by a 2-bit counter
@@ -46,7 +49,7 @@ from typing import Any
 
 from repro.core.calc import CalculationBuffer
 from repro.cpu.alu import MUL_KINDS, REGISTER_OPS, RegisterOp, define, write
-from repro.cpu.blocks import Block, compile_blocks
+from repro.cpu.blocks import Block, compile_blocks, compile_lone_blocks
 from repro.errors import ExecutionError
 from repro.isa.decode import (
     K_ADD_RI,
@@ -203,6 +206,8 @@ class Core:
             if self._fuse_loops
             else {}
         )
+        # The lone-core table, compiled the first time this core runs alone.
+        self._lone_blocks: dict[int, Block] | None = None
 
     # -- snapshot/restore ---------------------------------------------------------
 
@@ -293,6 +298,31 @@ class Core:
     def _stall_to_resolve(self) -> None:
         self.time = max(self.time, self._resolve_time)
 
+    def lone_blocks(self) -> dict[int, Block]:
+        """Compiled blocks by leader index for this core running alone,
+        whose blocks also hold memory ops (:mod:`repro.cpu.blocks`).
+
+        Empty while fusion is off (a sampled run turns it off) and on a
+        core with speculative execution, which keeps its register-only
+        blocks.  Only a scheduler that lets no other core run in between
+        and arms no stop point may run these blocks.
+        """
+        if not self._fuse_loops or self._spec_enabled:
+            return {}
+        blocks = self._lone_blocks
+        if blocks is None:
+            blocks = self._lone_blocks = dict(
+                compile_lone_blocks(
+                    self._decoded,
+                    self._base_cost,
+                    self._mul_cost,
+                    self._branch_cost,
+                    self._scale_cap,
+                    self._load_hide,
+                )
+            )
+        return blocks
+
     def _retire(self) -> None:
         """Advance past the current instruction for one base cost."""
         self.time += self._base_cost
@@ -321,11 +351,16 @@ class Core:
     # -- main step ------------------------------------------------------------------
 
     def step(self) -> None:
-        """Take one scheduler step: run one compiled block, execute one
-        instruction, or resolve a pending squash.
+        """Take one scheduler step: run one register-only compiled block,
+        execute one instruction, or resolve a pending squash.
 
         A block runs only when fusion is on, the core is not speculating
-        and ``pc_index`` is a compiled leader; transient execution always
+        and ``pc_index`` is a leader of the register-only table, whose
+        blocks end at every memory op, ``rdcycle``, ``fence`` and
+        ``halt``: a memory op is always a step of its own here, which is
+        what keeps the cross-core event order and every stop point exact.
+        (A core running alone runs its lone-core blocks, which hold memory
+        ops, from ``System._run_single``.)  Transient execution always
         goes one instruction at a time.
         """
         if self.halted:
@@ -395,7 +430,18 @@ class Core:
         latency = outcome.latency
         stats.loads += 1
         stats.load_latency_total += latency
-        self.time += self._charged_latency(latency)
+        # _charged_latency, inlined: this is the per-instruction hot path.
+        if self._serialized:
+            self._serialized = False
+            self.time += latency
+        else:
+            hide = self._load_hide
+            if hide > 0:
+                latency -= hide
+                base = self._base_cost
+                if latency < base:
+                    latency = base
+            self.time += latency
         self.pc_index += 1
         if self._speculating:
             stats.transient_executed += 1

@@ -15,12 +15,17 @@ and two cores (every cross-core attack) with a direct comparison, and
 hands more active cores to the scan.  All three orders are identical,
 which ``tests/test_golden_parity.py`` and ``tests/test_block_fuzz.py`` pin.
 
-A scheduler step is one :meth:`Core.step <repro.cpu.core.Core.step>`: one
-compiled block of register-only instructions, one instruction, or one
-squash.  ``max_steps`` and ``run_steps`` count those steps.  Blocks end at
-every memory op, so a load always begins a step and the stop point is
-exact.  A sampled run turns fusion off, so there every step is one
-instruction (or one squash), and runs the same dispatch in chunks of
+A scheduler step is one compiled block, one instruction, or one squash;
+``max_steps`` and ``run_steps`` count those steps.  Where cores can
+interleave (``_run_pair`` and ``run_steps``) a step is one
+:meth:`Core.step <repro.cpu.core.Core.step>`, whose blocks hold only
+register-only instructions and end at every memory op, so a load always
+begins a step and the stop point is exact.  ``_run_single``, where one
+core runs alone with no stop point, also runs the core's lone-core
+blocks (:mod:`repro.cpu.blocks`), which hold memory ops and end only at
+``halt``, a branch or a ``jmp``; no other core can observe the difference.
+A sampled run turns fusion off, so there every step is one instruction
+(or one squash), and runs the same dispatch in chunks of
 ``sample_interval`` steps, sampling after each full chunk.
 """
 
@@ -95,7 +100,8 @@ class System:
 
         Args:
             max_steps: guard against runaway programs (spin deadlocks); it
-                counts scheduler steps, so a compiled block is one step.
+                counts scheduler steps, so a compiled block is one step
+                (and a lone core's blocks hold memory ops too).
             sample_interval: when set, record ``sample_fn(self)`` every this
                 many scheduler steps (Fig. 12 uses this to sample protected
                 buffer counts over execution progress).  Fusion is off for
@@ -195,7 +201,8 @@ class System:
         first, or at the stop point: with ``stop_before_load`` set, the
         scan stops just before the scheduled core executes a
         non-speculative ``load`` whose effective address is that value.
-        Blocks end at every memory op, so such a load always begins a step.
+        Each step is one ``Core.step``, whose blocks end at every memory
+        op, so such a load always begins a step.
         Scenario replay stops there before a victim first reads its
         secret; the parity harness stops a run at an arbitrary point,
         snapshots, and compares resumed executions state-for-state.
@@ -227,10 +234,25 @@ class System:
 
     def _run_single(self, core: Core, steps: int, budget: int) -> int:
         """Tight loop for one active core, until it halts or ``steps``
-        reaches ``budget``; returns the updated step count."""
+        reaches ``budget``; returns the updated step count.
+
+        No other core can interleave and no stop point is armed, so a
+        step at a leader of the core's lone-core table
+        (:meth:`Core.lone_blocks <repro.cpu.core.Core.lone_blocks>`) runs
+        that block, memory ops and all, without going through
+        ``Core.step``: the core is neither halted nor speculating there.
+        Every other step is one ``Core.step``.
+        """
         step = core.step
+        lookup = core.lone_blocks().get
+        values = core._values
+        tracks = core._tracks
         while steps < budget:
-            step()
+            block = lookup(core.pc_index)
+            if block is None:
+                step()
+            else:
+                block(core, values, tracks)
             steps += 1
             if core.halted:
                 break

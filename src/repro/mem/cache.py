@@ -331,8 +331,12 @@ class Cache:
         lines = self._sets[(block_addr >> self._block_bits) & self._set_mask]
         if block_addr in lines:
             return None
-        if not self.mshr.prefetch_available(now):
-            self.mshr.prefetch_drops += 1
+        mshr = self.mshr
+        # MSHRFile.prefetch_available, inlined: most prefetches reach here.
+        if mshr._earliest <= now:
+            mshr._purge(now)
+        if mshr._prefetch_count >= mshr.prefetch_entries:
+            mshr.prefetch_drops += 1
             self.stats.prefetch_dropped += 1
             return None
         below_latency, _ = self.parent.access(

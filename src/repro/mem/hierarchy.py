@@ -193,19 +193,19 @@ class MemoryHierarchy:
         l1d = self.l1ds[core_id]
         log = self._logs[core_id]
         for request in requests:
-            ready = l1d.prefetch(request.addr, now, request.component)
+            addr = request.addr
+            component = request.component
+            ready = l1d.prefetch(addr, now, component)
             if ready is None:
                 continue
             # A hardware-prefetch fill is a read by this core: it steals any
             # other core's exclusive (prefetchw-held) copy of the line.
-            self._yield_exclusivity(core_id, self.amap.block_addr(request.addr))
+            if self._exclusive:
+                self._yield_exclusivity(core_id, addr & self._block_mask)
             issued += 1
-            component = request.component
             log.counts[component] = log.counts.get(component, 0) + 1
             if self.config.record_timelines:
-                log.timeline.append(
-                    (now, component, self.amap.block_addr(request.addr))
-                )
+                log.timeline.append((now, component, addr & self._block_mask))
         return issued
 
     # -- demand interface ----------------------------------------------------
@@ -229,7 +229,10 @@ class MemoryHierarchy:
         if self._exclusive:
             self._yield_exclusivity(core_id, addr & self._block_mask)
         latency, level = l1d.access(addr, now, write=False)
-        value = self.memory.read(addr)
+        # MainMemory.read, inlined: every load reads the functional word.
+        memory = self.memory
+        memory.reads += 1
+        value = memory._words.get(addr, 0)
         prefetcher = self._active[core_id]
         if prefetcher is not None:
             observation = Observation(

@@ -78,11 +78,17 @@ class Prefetcher:
     def observe(
         self, observation: Observation, l1d_contains: ContainsProbe
     ) -> list[PrefetchRequest]:
-        """Return prefetch requests for this access (may be empty)."""
+        """Return prefetch requests for this access (may be empty).
+
+        The list is a new one that the caller owns and may extend.
+        """
         raise NotImplementedError
 
     def on_back_invalidation(self, block_addr: int, now: int) -> list[PrefetchRequest]:
-        """Hook for back-invalidation events (used by BITP); default: none."""
+        """Hook for back-invalidation events (used by BITP); default: none.
+
+        Like :meth:`observe`, returns a new list that the caller owns.
+        """
         return []
 
     def reset(self) -> None:

@@ -41,11 +41,13 @@ class CompositePrefetcher(Prefetcher):
     def observe(
         self, observation: Observation, l1d_contains: ContainsProbe
     ) -> list[PrefetchRequest]:
-        requests = list(self.primary.observe(observation, l1d_contains))
+        # The primary's list is a fresh one (see Prefetcher.observe), so it
+        # is extended in place rather than copied.
+        requests = self.primary.observe(observation, l1d_contains)
         requests.extend(self.secondary.observe(observation, l1d_contains))
         return requests
 
     def on_back_invalidation(self, block_addr: int, now: int) -> list[PrefetchRequest]:
-        requests = list(self.primary.on_back_invalidation(block_addr, now))
+        requests = self.primary.on_back_invalidation(block_addr, now)
         requests.extend(self.secondary.on_back_invalidation(block_addr, now))
         return requests

@@ -127,19 +127,30 @@ def _plan_units(
     # which plain (non-scenario) batches never need.
     from repro.attacks.replay import (
         ScenarioReplayJob,
+        replay_cell,
         replay_eligible,
         replay_group_key,
     )
     from repro.runner.job import ScenarioJob
 
-    groups: dict[str, list[tuple[str, Any]]] = {}
+    # Trials are gathered by the cheap replay_cell first, and each cell is
+    # keyed once; cells whose group keys match merge, so the groups are
+    # exactly those of replay_group_key, members in input order.
+    cells: dict[tuple[Any, ...], list[tuple[int, str, Any]]] = {}
     units: list[tuple[list[str], Any, bool]] = []
-    for key, job in pending:
+    for position, (key, job) in enumerate(pending):
         if isinstance(job, ScenarioJob) and replay_eligible(job):
-            groups.setdefault(replay_group_key(job), []).append((key, job))
+            cells.setdefault(replay_cell(job), []).append((position, key, job))
         else:
             units.append(([key], job, False))
-    chunks = _split_groups(list(groups.values()), target_tasks - len(units))
+    merged: dict[str, list[tuple[int, str, Any]]] = {}
+    for members in cells.values():
+        merged.setdefault(replay_group_key(members[0][2]), []).extend(members)
+    groups = [
+        [(key, job) for _, key, job in sorted(members, key=lambda m: m[0])]
+        for members in merged.values()
+    ]
+    chunks = _split_groups(groups, target_tasks - len(units))
     for chunk in chunks:
         units.append(
             (

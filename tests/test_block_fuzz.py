@@ -4,14 +4,18 @@ Hypothesis draws random programs for 1, 2 and 3 cores.  Each program mixes
 every ALU kind (``r0`` as a destination, negative and huge immediates,
 shifts of 63 and more) with loads and stores to shared lines, scaled
 loads, forward branches, ``jmp``, backward loops, countdown loops,
-``rdcycle`` and ``clflush``; some draws turn speculative execution or
-PREFENDER on.  Every program halts by construction: backward edges only
-close counted loops whose counters the loop bodies never write.
+``rdcycle``, ``fence``, ``clflush``, ``prefetch`` and ``prefetchw``; some
+draws turn speculative execution, an OoO load-hiding window or PREFENDER
+on.  In some draws every core but the last halts right after its prologue,
+so the last one runs alone: a lone core runs the lone-core block table,
+whose blocks hold memory ops too (``repro.cpu.blocks``), and one-core
+draws run it throughout.  Every program halts by construction: backward
+edges only close counted loops whose counters the loop bodies never write.
 
 Three systems run each draw:
 
-* the default config through ``run()``, which runs compiled blocks and
-  fuses countdown loops;
+* the default config through ``run()``, which runs compiled blocks (the
+  lone-core table wherever one core runs alone) and fuses countdown loops;
 * a ``fuse_countdown_loops=False`` twin through ``run()``, which executes
   one instruction per step through the handler table;
 * that twin again, stepped by a naive loop that steps the core with the
@@ -33,6 +37,8 @@ from hypothesis import strategies as st
 
 from tools.state_diff import diff_systems
 
+from repro.cpu.blocks import compile_blocks, compile_lone_blocks
+from repro.isa import assemble
 from repro.isa.builder import ProgramBuilder
 from repro.mem.hierarchy import HierarchyConfig
 from repro.sim.config import PrefetcherSpec, SystemConfig
@@ -99,7 +105,9 @@ _simple = _weighted(
     (st.tuples(st.just("store"), _reg, _slot), 1),
     (st.tuples(st.just("scaled"), _reg, _reg, st.sampled_from((8, 64, 192, 4096))), 1),
     (st.tuples(st.just("clflush"), _slot), 1),
+    (st.tuples(st.just("prefetch"), st.booleans(), _slot), 1),
     (st.tuples(st.just("rdcycle"), _reg), 1),
+    (st.just(("fence",)), 1),
     (_fwd, 3),
     (st.tuples(st.just("jmp"), st.integers(0, 3)), 1),
 )
@@ -161,8 +169,13 @@ def _emit_simple(builder: ProgramBuilder, item: tuple) -> str | None:
         builder.load(rd, 0, "r8")
     elif kind == "clflush":
         builder.clflush(item[1] * 32, "r9")
+    elif kind == "prefetch":
+        _, write, slot = item
+        (builder.prefetchw if write else builder.prefetch)(slot * 32, "r9")
     elif kind == "rdcycle":
         builder.rdcycle(item[1])
+    elif kind == "fence":
+        builder.fence()
     else:
         label = builder.fresh_label("fwd")
         if kind == "jmp":
@@ -238,14 +251,25 @@ def _build(items: list, core_id: int):
 @given(data=st.data())
 def test_blocks_match_the_per_instruction_path(data):
     cores = data.draw(st.integers(1, 3), label="cores")
-    programs = [_build(data.draw(_program, label=f"core{i}"), i) for i in range(cores)]
+    # Every core but the last halts after its prologue: the last runs alone.
+    lone = data.draw(st.booleans(), label="lone")
+    programs = [
+        _build([], i) if lone and i < cores - 1
+        else _build(data.draw(_program, label=f"core{i}"), i)
+        for i in range(cores)
+    ]
     speculative = data.draw(st.booleans(), label="speculative")
+    hide = data.draw(st.sampled_from((0, 110)), label="load_hide_cycles")
     kind = data.draw(st.sampled_from(("none", "prefender")), label="prefetcher")
     config = SystemConfig(
         hierarchy=SMALL_CACHES,
         num_cores=cores,
         prefetcher=PrefetcherSpec(kind=kind),
-        core=replace(SystemConfig().core, speculative_execution=speculative),
+        core=replace(
+            SystemConfig().core,
+            speculative_execution=speculative,
+            load_hide_cycles=hide,
+        ),
     )
     twin = replace(config, core=replace(config.core, fuse_countdown_loops=False))
 
@@ -268,3 +292,38 @@ def test_blocks_match_the_per_instruction_path(data):
     assert stepped.run() == reference  # every core halted: just the result
     assert diff_systems(blocks, interpreted) == []
     assert diff_systems(blocks, stepped) == []
+
+
+def test_a_lone_core_runs_memory_ops_inside_blocks():
+    """Alone, the core runs everything before ``halt`` as one block: two
+    steps, where ``run_steps``, whose blocks end at every memory op, and
+    the per-instruction path take six.  All three end the same."""
+    program = assemble(
+        "li r1, 0x1000\nload r2, 0(r1)\nstore r2, 8(r1)\n"
+        "rdcycle r3\nfence\nhalt"
+    )
+    stepped = build_system([program], SystemConfig())
+    assert stepped.run_steps(100) == 6
+    twin = replace(SystemConfig().core, fuse_countdown_loops=False)
+    interpreted = build_system([program], replace(SystemConfig(), core=twin))
+    reference = interpreted.run(max_steps=6)
+    lone = build_system([program], SystemConfig())
+    assert lone.run(max_steps=2) == reference
+    assert stepped.run() == reference
+    assert diff_systems(lone, interpreted) == []
+
+
+def test_lone_table_reuses_register_only_blocks():
+    """A lone-core run without a memory op is the register-only block
+    itself; only a run that holds one is compiled again."""
+    program = assemble(
+        "li r1, 3\nloop:\nsub r1, r1, 1\nbne r1, zero, loop\n"
+        "li r2, 0x1000\nload r3, 0(r2)\nhalt"
+    )
+    costs = (program.decoded, 1, 3, 1, 4096)
+    registers = dict(compile_blocks(*costs, True))
+    lone = dict(compile_lone_blocks(*costs, 0))
+    assert sorted(registers) == [0, 1, 3]
+    assert sorted(lone) == [0, 1, 3]
+    assert lone[0] is registers[0] and lone[1] is registers[1]
+    assert lone[3] is not registers[3]

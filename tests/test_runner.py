@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.attacks import replay
 from repro.attacks.replay import replay_group_key
 from repro.attacks.scenarios import DEFAULT_ATTACKS, DEFAULT_VICTIMS, build_grid
 from repro.core.config import PrefenderConfig
@@ -28,6 +29,7 @@ from repro.runner import (
     ScenarioJob,
     SimJob,
     SimResult,
+    executor,
     fingerprint,
     job_key,
     run_batch,
@@ -550,3 +552,50 @@ def test_attack_job_merges_class_default_options():
     assert job.options.secret == 37
     probe = job.run()
     assert probe.challenges == "C1+C2+C3"
+
+
+def _planned_groups(jobs, target_tasks=1):
+    """Member keys of each replay group ``_plan_units`` plans for ``jobs``."""
+    pending = [(job.key(), job) for job in jobs]
+    units = executor._plan_units(pending, True, target_tasks)
+    assert all(is_group for _, _, is_group in units)
+    return [unit_keys for unit_keys, _, _ in units]
+
+
+def test_plan_keys_each_replay_group_once(monkeypatch):
+    """The 1,440-trial security grid is planned with one group key per
+    cell, and its groups are exactly those of ``replay_group_key``, each
+    with its members in input order."""
+    _, jobs = build_grid(DEFAULT_VICTIMS, DEFAULT_ATTACKS, common.DEFENSES, 16)
+    calls = []
+
+    def counted(job):
+        calls.append(job)
+        return replay_group_key(job)
+
+    monkeypatch.setattr(replay, "replay_group_key", counted)
+    planned = _planned_groups(jobs)
+    assert len(calls) <= 90
+    expected: dict[str, list[str]] = {}
+    for job in jobs:
+        expected.setdefault(replay_group_key(job), []).append(job.key())
+    assert planned == list(expected.values())
+
+
+def test_plan_splits_equal_systems_that_fingerprint_differently():
+    """``num_cores=1`` and ``num_cores=True`` compare equal but key
+    differently, so their trials replay in different groups; two equal
+    configs that key the same share one."""
+    jobs = [
+        ScenarioJob.build("flush-reload", system, secret=secret)
+        for system in (
+            SystemConfig(num_cores=1),
+            SystemConfig(num_cores=True),
+            SystemConfig(num_cores=1),
+        )
+        for secret in (3, 4)
+    ]
+    assert jobs[0].system == jobs[2].system
+    planned = _planned_groups(jobs)
+    keys = [job.key() for job in jobs]
+    assert planned == [keys[0:2] + keys[4:6], keys[2:4]]

@@ -57,15 +57,16 @@ GLOBAL_SKIP = frozenset(
 #: elsewhere (``Core._values`` aliases ``Core.regs._values``), the
 #: per-core mirrors of immutable :class:`CoreConfig` fields, which may
 #: legitimately differ between two systems being compared differentially
-#: (e.g. countdown fusion on vs off) without being *state*, and the
-#: compiled block table, which is derived from the program and the config
-#: (empty with fusion off).
+#: (e.g. countdown fusion on vs off) without being *state*, and the two
+#: compiled block tables, which are derived from the program and the
+#: config (empty with fusion off; the lone-core one is built on first use).
 PER_CLASS_SKIP: dict[str, frozenset[str]] = {
     "Core": frozenset(
         {
             "_values",
             "_tracks",
             "_blocks",
+            "_lone_blocks",
             "core_id",
             "_program_len",
             "_scale_cap",
