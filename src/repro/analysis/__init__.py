@@ -13,10 +13,11 @@ The analysis is pure: it reads the decode tuples produced by
 :mod:`repro.isa.decode` and never touches simulator state, so it adds
 zero timing drift (``tests/test_golden_parity.py`` is unaffected).
 
-:class:`ProgramAnalysis` also exports the raw substrate — basic blocks,
-per-register liveness, the static memory footprint — for later consumers
-(the ROADMAP's closure-compiled per-program step functions need exactly
-these).
+:class:`ProgramAnalysis` also carries what the findings were read off:
+the basic blocks, the secret-taint classification and the cycle-interval
+analysis.  Every forward dataflow pass (use-before-def, constant
+propagation, taint, the leak map's feasible-edge constants, the abstract
+cache) runs on one solver, :func:`repro.analysis.cfg.forward`.
 """
 
 from repro.analysis.analyzer import (
@@ -44,7 +45,6 @@ from repro.analysis.defense import (
     havoc_reach,
     scale_trigger_satisfiable,
 )
-from repro.analysis.footprint import BlockFootprint, SegmentRange
 from repro.analysis.scenario import (
     DEFENDED,
     LEAKS,
@@ -77,7 +77,6 @@ __all__ = [
     "ANALYSIS_RULES",
     "AccessTaint",
     "BasicBlock",
-    "BlockFootprint",
     "COVERAGE_CERTAIN",
     "COVERAGE_NONE",
     "COVERAGE_POSSIBLE",
@@ -97,7 +96,6 @@ __all__ = [
     "LEAKS",
     "LatencyInterval",
     "ProgramAnalysis",
-    "SegmentRange",
     "TaintAnalysis",
     "TimingAnalysis",
     "UNKNOWN",

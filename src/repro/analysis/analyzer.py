@@ -59,8 +59,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis.cfg import EXIT, ControlFlowGraph, build_cfg
-from repro.analysis.dataflow import liveness, use_before_def
-from repro.analysis.footprint import BlockFootprint, block_footprints
+from repro.analysis.dataflow import use_before_def
 from repro.analysis.taint import TaintAnalysis, taint_analysis
 from repro.analysis.timing import (
     TimingAnalysis,
@@ -172,10 +171,6 @@ class ProgramAnalysis:
     findings: tuple[Finding, ...]
     #: Findings silenced by ``program.allow`` / ``; analysis: allow``.
     suppressed: tuple[Finding, ...]
-    #: Per-block ``(live_in, live_out)`` register sets, in block order.
-    liveness: tuple[tuple[frozenset[int], frozenset[int]], ...]
-    #: Static memory footprint of every reachable block.
-    footprints: tuple[BlockFootprint, ...]
     #: Secret-taint classification of every access and branch.
     taint: TaintAnalysis
     #: Abstract cache/cycle interval analysis (default system geometry).
@@ -334,7 +329,7 @@ def _secret_findings(taint: TaintAnalysis) -> list[Finding]:
 def analyze_program(program: Program) -> ProgramAnalysis:
     """Run every rule over ``program`` (which must be decoded).
 
-    Pure: reads ``program.decoded``, ``program.data_segments`` and
+    Pure: reads ``program.decoded``, ``program.taint_sources`` and
     ``program.suppressions``; mutates nothing.
     """
     decoded = tuple(program.decoded)
@@ -374,10 +369,6 @@ def analyze_program(program: Program) -> ProgramAnalysis:
         cfg=cfg,
         findings=tuple(kept),
         suppressed=tuple(silenced),
-        liveness=liveness(decoded, cfg),
-        footprints=block_footprints(
-            decoded, cfg, tuple(program.data_segments)
-        ),
         taint=taint,
         timing=timing,
     )

@@ -11,14 +11,19 @@ starts a block.  Out-of-range targets do *not* contribute an edge (the
 analyzer reports them separately); the virtual "exit" is reached by
 ``halt`` and by falling through the last instruction (the latter is a
 finding — the core raises at run time when the PC leaves the program).
+
+:func:`forward` is the one fixpoint solver every forward dataflow pass of
+the analyzer runs on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterable, TypeVar
 
 from repro.isa.decode import K_BRANCH, K_HALT, K_JMP
+
+State = TypeVar("State")
 
 #: Successor index meaning "execution leaves the program" (used for the
 #: fall-off-the-end edge; ``halt`` blocks simply have no successors).
@@ -144,3 +149,47 @@ def build_cfg(decoded: tuple[tuple[Any, ...], ...]) -> ControlFlowGraph:
         block_of=tuple(block_of),
         reachable=tuple(sorted(seen)),
     )
+
+
+def forward(
+    cfg: ControlFlowGraph,
+    entry: State,
+    through: Callable[[BasicBlock, State], State],
+    join: Callable[[State, State], State],
+    successors: Callable[[BasicBlock, State], Iterable[int]] | None = None,
+) -> dict[int, State]:
+    """In-state of every block reached from block 0, at the fixpoint.
+
+    A FIFO worklist: block 0 starts with ``entry``; visiting a block runs
+    ``through(block, in_state)`` to get its out-state, and each successor
+    takes that out-state on its first visit and ``join(in_state, out)``
+    afterwards, re-queued (unless already queued) whenever its in-state
+    changes.  ``successors(block, out)`` replaces ``block.successors``
+    when given, so a pass can prune edges it proves infeasible; ``EXIT``
+    is skipped.  Blocks never reached are absent from the result.
+
+    One out-state may become the in-state of several successors, so
+    ``through`` must not mutate its input and ``join`` must return a new
+    object.  The domain must have finite height (or ``join`` must widen)
+    for the loop to end.
+    """
+    if not cfg.blocks:
+        return {}
+    in_states = {0: entry}
+    worklist = [0]
+    while worklist:
+        block = cfg.blocks[worklist.pop(0)]
+        out = through(block, in_states[block.index])
+        targets = (
+            block.successors if successors is None else successors(block, out)
+        )
+        for successor in targets:
+            if successor == EXIT:
+                continue
+            existing = in_states.get(successor)
+            merged = out if existing is None else join(existing, out)
+            if existing is None or merged != existing:
+                in_states[successor] = merged
+                if successor not in worklist:
+                    worklist.append(successor)
+    return in_states

@@ -1,26 +1,27 @@
 """Register dataflow over a decoded program's CFG.
 
-Three classic analyses, all operating on the dispatch tuples directly so
-their view of register reads/writes matches the timing core's handlers:
+Two forward analyses, both solved by :func:`repro.analysis.cfg.forward`
+and both reading the dispatch tuples directly, so their view of register
+reads/writes matches the timing core's handlers:
 
-* **must-defined** (forward, intersection) — drives the use-before-def
+* **must-defined** (intersection join) — drives the use-before-def
   rule: a register read is flagged when *some* path from entry reaches it
   without a prior write.  ``r0`` is hard-wired zero and always defined.
-* **liveness** (backward, union) — per-block live-in/live-out register
-  sets, exported for the ROADMAP's closure-compiled step functions (a
-  dead register's Table III track never needs materialising).
-* **constant propagation** (forward, agree-or-drop meet) — resolves
+* **constant propagation** (agree-or-drop meet) — resolves
   ``li``/``add``/``mul`` chains to concrete values with the value
   expressions the core runs (one compiled function per ALU kind in
-  :mod:`repro.cpu.alu`, so the 64-bit masking is the core's own); the
-  footprint analysis reads the per-access resolved addresses it produces.
+  :mod:`repro.cpu.alu`, so the 64-bit masking is the core's own).
+  :func:`resolve_addresses` reads each memory access's address off the
+  fixpoint: :func:`constant_addresses` for taint seeding and the abstract
+  cache walk, and :func:`repro.analysis.taint.leak_map` under bound
+  secrets with infeasible edges pruned.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Iterable
 
-from repro.analysis.cfg import EXIT, ControlFlowGraph
+from repro.analysis.cfg import BasicBlock, ControlFlowGraph, forward
 from repro.cpu.alu import REGISTER_OPS, VALUES
 from repro.isa.decode import (
     K_BRANCH,
@@ -30,7 +31,7 @@ from repro.isa.decode import (
     K_RDCYCLE,
     K_STORE,
 )
-from repro.isa.registers import NUM_REGISTERS, WORD_MASK, ZERO_REGISTER
+from repro.isa.registers import WORD_MASK, ZERO_REGISTER
 
 #: Operand form (``r`` register, ``i`` immediate) of every register-only
 #: kind's decode fields after ``rd``.
@@ -69,13 +70,6 @@ def use_before_def(
     skipped — they are reported by the dead-code rule instead, and have
     no meaningful incoming state.
     """
-    if not cfg.blocks:
-        return ()
-    reachable = set(cfg.reachable)
-    preds = cfg.predecessors()
-    universe = frozenset(range(NUM_REGISTERS))
-    entry_in = frozenset({ZERO_REGISTER})
-
     gen: dict[int, frozenset[int]] = {}
     for block in cfg.blocks:
         defined: set[int] = set()
@@ -84,39 +78,17 @@ def use_before_def(
             if written is not None:
                 defined.add(written)
         gen[block.index] = frozenset(defined)
-
-    out_sets = {block.index: universe for block in cfg.blocks}
-    out_sets[0] = entry_in | gen[0]
-    changed = True
-    while changed:
-        changed = False
-        for index in cfg.reachable:
-            if index == 0:
-                in_set = entry_in
-            else:
-                incoming = [
-                    out_sets[p] for p in preds[index] if p in reachable
-                ]
-                in_set = (
-                    frozenset.intersection(*incoming) if incoming else universe
-                )
-            new_out = in_set | gen[index]
-            if new_out != out_sets[index]:
-                out_sets[index] = new_out
-                changed = True
+    in_sets = forward(
+        cfg,
+        frozenset({ZERO_REGISTER}),
+        lambda block, defined: defined | gen[block.index],
+        lambda a, b: a & b,
+    )
 
     findings: list[tuple[int, int]] = []
     for index in cfg.reachable:
-        block = cfg.blocks[index]
-        if index == 0:
-            defined = set(entry_in)
-        else:
-            incoming = [out_sets[p] for p in preds[index] if p in reachable]
-            defined = (
-                set(frozenset.intersection(*incoming)) if incoming
-                else set(universe)
-            )
-        for i in block.instruction_indices():
+        defined = set(in_sets[index])
+        for i in cfg.blocks[index].instruction_indices():
             reads, written = uses_and_def(decoded[i])
             for register in reads:
                 if register not in defined:
@@ -124,56 +96,6 @@ def use_before_def(
             if written is not None:
                 defined.add(written)
     return tuple(findings)
-
-
-def liveness(
-    decoded: tuple[tuple[Any, ...], ...], cfg: ControlFlowGraph
-) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
-    """Per-block ``(live_in, live_out)`` register sets, in block order.
-
-    ``r0`` is never live: reading it yields the constant zero, so no
-    definition is ever awaited.
-    """
-    if not cfg.blocks:
-        return ()
-    use: dict[int, frozenset[int]] = {}
-    defs: dict[int, frozenset[int]] = {}
-    for block in cfg.blocks:
-        block_use: set[int] = set()
-        block_def: set[int] = set()
-        for i in block.instruction_indices():
-            reads, written = uses_and_def(decoded[i])
-            for register in reads:
-                if register != ZERO_REGISTER and register not in block_def:
-                    block_use.add(register)
-            if written is not None and written != ZERO_REGISTER:
-                block_def.add(written)
-        use[block.index] = frozenset(block_use)
-        defs[block.index] = frozenset(block_def)
-
-    live_in: dict[int, frozenset[int]] = {
-        block.index: frozenset() for block in cfg.blocks
-    }
-    live_out: dict[int, frozenset[int]] = {
-        block.index: frozenset() for block in cfg.blocks
-    }
-    changed = True
-    while changed:
-        changed = False
-        for block in reversed(cfg.blocks):
-            index = block.index
-            out: frozenset[int] = frozenset()
-            for successor in block.successors:
-                if successor != EXIT:
-                    out |= live_in[successor]
-            new_in = use[index] | (out - defs[index])
-            if out != live_out[index] or new_in != live_in[index]:
-                live_out[index] = out
-                live_in[index] = new_in
-                changed = True
-    return tuple(
-        (live_in[block.index], live_out[block.index]) for block in cfg.blocks
-    )
 
 
 # -- constant propagation -------------------------------------------------------
@@ -224,58 +146,52 @@ def _meet(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     }
 
 
-def constant_addresses(
-    decoded: tuple[tuple[Any, ...], ...], cfg: ControlFlowGraph
+def resolve_addresses(
+    decoded: tuple[tuple[Any, ...], ...],
+    cfg: ControlFlowGraph,
+    transfer: Callable[[dict[int, int], tuple[Any, ...]], None],
+    successors: Callable[[BasicBlock, dict[int, int]], Iterable[int]]
+    | None = None,
 ) -> dict[int, int]:
     """``instruction index -> resolved byte address`` for memory accesses.
 
-    Runs constant propagation to fixpoint, then evaluates the effective
-    address ``base + imm`` of every load/store/clflush/prefetch whose base
-    register is a known constant at that instruction.
+    Runs constant propagation to fixpoint, applying each tuple with
+    ``transfer`` (in place) and pruning edges with ``successors`` as
+    :func:`~repro.analysis.cfg.forward` does, then evaluates the effective
+    address ``base + imm`` of every load/store/clflush/prefetch in a
+    reached block whose base register is a known constant there.
     """
-    if not cfg.blocks:
-        return {}
-    reachable = set(cfg.reachable)
-    preds = cfg.predecessors()
-    in_states: dict[int, dict[int, int] | None] = {
-        block.index: None for block in cfg.blocks
-    }
-    in_states[0] = {ZERO_REGISTER: 0}
-    worklist = [0]
-    while worklist:
-        index = worklist.pop(0)
-        state = dict(in_states[index] or {})
-        block = cfg.blocks[index]
-        for i in block.instruction_indices():
-            _transfer(state, decoded[i])
-        for successor in block.successors:
-            if successor == EXIT or successor not in reachable:
-                continue
-            existing = in_states[successor]
-            merged = dict(state) if existing is None else _meet(existing, state)
-            if merged != existing:
-                in_states[successor] = merged
-                if successor not in worklist:
-                    worklist.append(successor)
 
-    resolved: dict[int, int] = {}
-    for index in cfg.reachable:
-        block = cfg.blocks[index]
-        state = dict(in_states[index] or {})
+    def through(block: BasicBlock, state: dict[int, int]) -> dict[int, int]:
+        state = dict(state)
         for i in block.instruction_indices():
+            transfer(state, decoded[i])
+        return state
+
+    in_states = forward(cfg, {ZERO_REGISTER: 0}, through, _meet, successors)
+    resolved: dict[int, int] = {}
+    for index in sorted(in_states):
+        state = dict(in_states[index])
+        for i in cfg.blocks[index].instruction_indices():
             tup = decoded[i]
             kind = tup[0]
-            base_imm: tuple[int, int] | None = None
-            if kind == K_LOAD:
-                base_imm = (tup[2], tup[3])
-            elif kind == K_STORE:
-                base_imm = (tup[2], tup[3])
-            elif kind in (K_CLFLUSH, K_PREFETCH):
-                base_imm = (tup[1], tup[2])
-            if base_imm is not None:
-                base, imm = base_imm
-                value = 0 if base == ZERO_REGISTER else state.get(base)
-                if value is not None:
-                    resolved[i] = (value + imm) & WORD_MASK
-            _transfer(state, tup)
+            if kind == K_LOAD or kind == K_STORE:
+                base, imm = tup[2], tup[3]
+            elif kind == K_CLFLUSH or kind == K_PREFETCH:
+                base, imm = tup[1], tup[2]
+            else:
+                transfer(state, tup)
+                continue
+            value = 0 if base == ZERO_REGISTER else state.get(base)
+            if value is not None:
+                resolved[i] = (value + imm) & WORD_MASK
+            transfer(state, tup)
     return resolved
+
+
+def constant_addresses(
+    decoded: tuple[tuple[Any, ...], ...], cfg: ControlFlowGraph
+) -> dict[int, int]:
+    """Every memory access's address that plain constant propagation
+    resolves (:func:`resolve_addresses` over every CFG edge)."""
+    return resolve_addresses(decoded, cfg, _transfer)

@@ -23,9 +23,15 @@ executes:
   concrete secret value and re-run constant propagation with *feasible
   edges only* (branches whose operands are known constants propagate down
   one side), then read off which probe-array indices the resolved
-  accesses touch.  ``tests/test_taint_oracle.py`` locks this map against
+  accesses touch, with the address walk
+  :func:`~repro.analysis.dataflow.constant_addresses` also reads
+  (:func:`~repro.analysis.dataflow.resolve_addresses`).
+  ``tests/test_taint_oracle.py`` locks this map against
   :meth:`~repro.workloads.crypto.CryptoVictim.expected_indices` and the
   dynamic mutual-information scorer, both ways.
+
+Both fixpoints, taint and the leak map's constants, run on the analyzer's
+one solver, :func:`repro.analysis.cfg.forward`.
 
 Deliberate scope limits (guarded by the differential oracle):
 
@@ -41,13 +47,19 @@ Deliberate scope limits (guarded by the differential oracle):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
-from repro.analysis.cfg import EXIT, BasicBlock, ControlFlowGraph, build_cfg
+from repro.analysis.cfg import (
+    EXIT,
+    BasicBlock,
+    ControlFlowGraph,
+    build_cfg,
+    forward,
+)
 from repro.analysis.dataflow import (
-    _meet,
     _transfer,
     constant_addresses,
+    resolve_addresses,
     uses_and_def,
 )
 from repro.isa.decode import (
@@ -198,34 +210,16 @@ def _taint_fixpoint(
     resolved: Mapping[int, int],
     hot_cells: frozenset[int],
 ) -> dict[int, frozenset[int]]:
-    """Per-block tainted-register in-sets (forward, union meet)."""
-    reachable = set(cfg.reachable)
-    in_taints: dict[int, frozenset[int] | None] = {
-        block.index: None for block in cfg.blocks
-    }
-    in_taints[0] = frozenset()
-    worklist = [0]
-    while worklist:
-        index = worklist.pop(0)
-        tainted = set(in_taints[index] or frozenset())
-        block = cfg.blocks[index]
+    """Per-block tainted-register in-sets (forward, union join)."""
+
+    def through(block: BasicBlock, taints: frozenset[int]) -> frozenset[int]:
+        tainted = set(taints)
         for i in block.instruction_indices():
             _taint_step(tainted, i, decoded[i], resolved, hot_cells)
-        out = frozenset(tainted)
-        for successor in block.successors:
-            if successor == EXIT or successor not in reachable:
-                continue
-            existing = in_taints[successor]
-            merged = out if existing is None else existing | out
-            if merged != existing:
-                in_taints[successor] = merged
-                if successor not in worklist:
-                    worklist.append(successor)
-    return {
-        index: taints
-        for index, taints in in_taints.items()
-        if taints is not None
-    }
+        return frozenset(tainted)
+
+    clean: frozenset[int] = frozenset()
+    return forward(cfg, clean, through, lambda a, b: a | b)
 
 
 def taint_analysis(
@@ -370,21 +364,23 @@ def _branch_taken(cond: int, a: int, b: int) -> bool:
     return a < b if cond == 2 else a >= b
 
 
-def _transfer_bound(
-    state: dict[int, int],
-    index_tup: tuple[Any, ...],
+def _bound_transfer(
     bindings: Mapping[int, int],
-) -> None:
+) -> Callable[[dict[int, int], tuple[Any, ...]], None]:
     """Constant-propagation transfer with loads of bound cells resolved."""
-    if index_tup[0] == K_LOAD and index_tup[1] != ZERO_REGISTER:
-        base = index_tup[2]
-        base_value = 0 if base == ZERO_REGISTER else state.get(base)
-        if base_value is not None:
-            address = (base_value + index_tup[3]) & WORD_MASK
-            if address in bindings:
-                state[index_tup[1]] = bindings[address] & WORD_MASK
-                return
-    _transfer(state, index_tup)
+
+    def transfer(state: dict[int, int], tup: tuple[Any, ...]) -> None:
+        if tup[0] == K_LOAD and tup[1] != ZERO_REGISTER:
+            base = tup[2]
+            base_value = 0 if base == ZERO_REGISTER else state.get(base)
+            if base_value is not None:
+                address = (base_value + tup[3]) & WORD_MASK
+                if address in bindings:
+                    state[tup[1]] = bindings[address] & WORD_MASK
+                    return
+        _transfer(state, tup)
+
+    return transfer
 
 
 def _feasible_successors(
@@ -416,46 +412,6 @@ def _feasible_successors(
     return tuple(s for s in block.successors if s == chosen)
 
 
-def _bound_constants(
-    decoded: Decoded,
-    cfg: ControlFlowGraph,
-    bindings: Mapping[int, int],
-) -> dict[int, dict[int, int]]:
-    """Feasible-edge constant propagation under concrete secret bindings.
-
-    Like :func:`~repro.analysis.dataflow.constant_addresses`'s fixpoint,
-    but (a) loads from ``bindings`` cells produce their bound value and
-    (b) a branch whose operands are known constants propagates down one
-    side only — so a victim's secret-conditional lookup (RSA's multiply)
-    is excluded exactly when the concrete secret skips it.
-    """
-    in_states: dict[int, dict[int, int] | None] = {
-        block.index: None for block in cfg.blocks
-    }
-    in_states[0] = {ZERO_REGISTER: 0}
-    worklist = [0]
-    while worklist:
-        index = worklist.pop(0)
-        state = dict(in_states[index] or {})
-        block = cfg.blocks[index]
-        for i in block.instruction_indices():
-            _transfer_bound(state, decoded[i], bindings)
-        for successor in _feasible_successors(decoded, cfg, block, state):
-            if successor == EXIT:
-                continue
-            existing = in_states[successor]
-            merged = dict(state) if existing is None else _meet(existing, state)
-            if merged != existing:
-                in_states[successor] = merged
-                if successor not in worklist:
-                    worklist.append(successor)
-    return {
-        index: state
-        for index, state in in_states.items()
-        if state is not None
-    }
-
-
 def leak_map(
     program: Any,
     secret: int,
@@ -467,8 +423,11 @@ def leak_map(
     """Probe-array indices ``program`` touches when its secrets equal ``secret``.
 
     Every declared taint-source cell is bound to ``secret``, feasible-edge
-    constant propagation runs to fixpoint, and each resolved reachable
-    ``load``/``store``/``prefetch`` landing inside the probe array
+    constant propagation runs to fixpoint (a branch whose operands are
+    known constants propagates down one side only, so RSA's multiply
+    lookup drops out exactly when the secret skips it), and each resolved
+    reachable ``load``/``store``/``prefetch`` (never a ``clflush``: it
+    evicts a line, it does not touch one) landing inside the probe array
     ``[probe_base, probe_base + num_indices*scale)`` contributes the index
     ``(address - probe_base) // scale``.  Attacker sweeps never resolve
     (their index is loop-carried), so the map is exactly the victim's
@@ -478,37 +437,27 @@ def leak_map(
     """
     decoded = tuple(program.decoded)
     cfg = build_cfg(decoded)
-    if not cfg.blocks:
-        return ()
     bindings = {
         address: secret & WORD_MASK
         for address in sorted(program.taint_sources)
     }
-    in_states = _bound_constants(decoded, cfg, bindings)
+    resolved = resolve_addresses(
+        decoded,
+        cfg,
+        _bound_transfer(bindings),
+        lambda block, state: _feasible_successors(decoded, cfg, block, state),
+    )
     span = num_indices * scale
-    indices: set[int] = set()
-    for block_index in cfg.reachable:
-        if block_index not in in_states:
-            continue  # statically infeasible under this secret
-        block = cfg.blocks[block_index]
-        state = dict(in_states[block_index])
-        for i in block.instruction_indices():
-            tup = decoded[i]
-            kind = tup[0]
-            base_imm: tuple[int, int] | None = None
-            if kind in (K_LOAD, K_STORE):
-                base_imm = (tup[2], tup[3])
-            elif kind == K_PREFETCH:
-                base_imm = (tup[1], tup[2])
-            if base_imm is not None:
-                base, imm = base_imm
-                value = 0 if base == ZERO_REGISTER else state.get(base)
-                if value is not None:
-                    address = (value + imm) & WORD_MASK
-                    if probe_base <= address < probe_base + span:
-                        indices.add((address - probe_base) // scale)
-            _transfer_bound(state, tup, bindings)
-    return tuple(sorted(indices))
+    return tuple(
+        sorted(
+            {
+                (address - probe_base) // scale
+                for i, address in resolved.items()
+                if decoded[i][0] != K_CLFLUSH
+                and probe_base <= address < probe_base + span
+            }
+        )
+    )
 
 
 def secret_leak_union(

@@ -52,8 +52,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.cachemodel import HierarchyState, LatencyInterval
-from repro.analysis.cfg import EXIT, ControlFlowGraph, build_cfg
-from repro.analysis.dataflow import _transfer
+from repro.analysis.cfg import (
+    EXIT,
+    BasicBlock,
+    ControlFlowGraph,
+    build_cfg,
+    forward,
+)
+from repro.analysis.dataflow import _transfer, constant_addresses
 from repro.analysis.taint import TaintAnalysis, _branch_taken, taint_of_program
 from repro.cpu.alu import MUL_KINDS
 from repro.cpu.blocks import BLOCK_KINDS
@@ -182,35 +188,20 @@ def _timing_fixpoint(
     resolved: Mapping[int, int],
     hierarchy: HierarchyConfig,
 ) -> dict[int, HierarchyState]:
-    """Per-block abstract hierarchy in-states (forward, join meet).
+    """Per-block abstract hierarchy in-states (forward, join).
 
     In-states only ascend (each update joins into the previous state), and
     the domain over the finite universe of resolved block addresses has
-    finite height, so the worklist terminates without widening.
+    finite height, so the fixpoint is reached without widening.
     """
-    reachable = set(cfg.reachable)
-    in_states: dict[int, HierarchyState] = {0: HierarchyState(hierarchy)}
-    worklist = [0]
-    while worklist:
-        index = worklist.pop(0)
-        state = in_states[index].copy()
-        block = cfg.blocks[index]
+
+    def through(block: BasicBlock, state: HierarchyState) -> HierarchyState:
+        state = state.copy()
         for i in block.instruction_indices():
             _cache_effect(state, decoded[i][0], resolved.get(i))
-        for successor in block.successors:
-            if successor == EXIT or successor not in reachable:
-                continue
-            existing = in_states.get(successor)
-            if existing is None:
-                in_states[successor] = state.copy()
-            else:
-                joined = existing.join(state)
-                if joined == existing:
-                    continue
-                in_states[successor] = joined
-            if successor not in worklist:
-                worklist.append(successor)
-    return in_states
+        return state
+
+    return forward(cfg, HierarchyState(hierarchy), through, HierarchyState.join)
 
 
 def _exit_blocks(cfg: ControlFlowGraph) -> set[int]:
@@ -297,8 +288,6 @@ def analyze_timing(
     hierarchy: HierarchyConfig | None = None,
 ) -> TimingAnalysis:
     """Abstract cache + cycle-interval analysis over a built CFG."""
-    from repro.analysis.dataflow import constant_addresses
-
     config = core or CoreConfig()
     if config.speculative_execution:
         # Transient windows re-order and replay work invisibly to the

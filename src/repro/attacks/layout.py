@@ -103,14 +103,8 @@ class AttackLayout:
     evict_offset_1: int = 0x20000
     evict_offset_2: int = 0x28000
 
-    def probe_addr(self, index: int, scale: int) -> int:
-        return self.probe_base + index * scale
-
     def result_addr(self, index: int) -> int:
         return self.results_base + index * self.results_stride
-
-    def noise_addr(self, k: int) -> int:
-        return self.noise_base + k * 0x200
 
     @property
     def flag_attacker_ready(self) -> int:

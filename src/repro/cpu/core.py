@@ -280,10 +280,6 @@ class Core:
     def speculating(self) -> bool:
         return self._speculating
 
-    def pc_addr(self) -> int:
-        """Current instruction address."""
-        return self.program.pc_of_index(self.pc_index)
-
     def _squash(self) -> None:
         """Roll back a mispredicted path; cache/calc effects persist."""
         assert self._checkpoint_regs is not None

@@ -9,6 +9,7 @@ from repro.analysis import (
     build_cfg,
     render_findings,
 )
+from repro.analysis.dataflow import constant_addresses
 from repro.errors import AnalysisError, AssemblyError
 from repro.isa import ProgramBuilder, assemble
 from repro.isa.program import Program
@@ -87,6 +88,47 @@ def test_an_ubd_flags_read_before_write():
 def test_an_ubd_ignores_zero_register():
     analysis = analyze_program(assemble("load r1, 0(zero)\nhalt"))
     assert analysis.ok
+
+
+#: Must-defined through merges and back edges: (source, flagged (index,
+#: register) pairs).  A read is flagged when *some* path reaches it unwritten.
+UBD_MERGES = {
+    "diamond-one-arm-writes": (
+        "li r1, 1\nbeq r1, zero, skip\nli r2, 5\n"
+        "skip:\nadd r3, r2, r1\nhalt",
+        [(3, "r2")],
+    ),
+    "diamond-both-arms-write": (
+        "li r1, 1\nbeq r1, zero, other\nli r2, 5\njmp join\n"
+        "other:\nli r2, 6\njoin:\nadd r3, r2, r1\nhalt",
+        [],
+    ),
+    "countdown-after-init": (
+        "li r2, 4\nloop:\nsub r2, r2, 1\nbne r2, zero, loop\nhalt",
+        [],
+    ),
+    "back-edge-into-entry": (
+        "top:\nadd r3, r2, r0\nli r2, 1\nli r4, 0\nbne r4, zero, top\nhalt",
+        [(0, "r2")],
+    ),
+    "loop-writes-after-read": (
+        "li r1, 3\nloop:\nadd r6, r5, r1\nli r5, 2\nsub r1, r1, 1\n"
+        "bne r1, zero, loop\nhalt",
+        [(1, "r5")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UBD_MERGES))
+def test_an_ubd_through_merges(name):
+    source, expected = UBD_MERGES[name]
+    analysis = analyze_program(assemble(source))
+    flagged = [
+        (f.index, f.message.split()[0])
+        for f in analysis.findings
+        if f.rule == "AN-UBD"
+    ]
+    assert flagged == expected
 
 
 def test_empty_program_is_a_single_halt_finding():
@@ -225,13 +267,7 @@ def test_equ_redefinition_carries_line_number():
 # -- dataflow extras --------------------------------------------------------
 
 
-def test_liveness_never_includes_zero_register():
-    analysis = analyze_program(assemble(CLEAN))
-    for live_in, live_out in analysis.liveness:
-        assert 0 not in live_in | live_out
-
-
-def test_footprints_resolve_constant_addresses():
+def test_constant_addresses_resolve_a_load():
     program = assemble(
         """
         .data 0x10000 stride=8 7 7 7
@@ -240,7 +276,6 @@ def test_footprints_resolve_constant_addresses():
         halt
         """
     )
-    analysis = analyze_program(program)
-    assert analysis.ok
-    addresses = {addr for fp in analysis.footprints for _, addr in fp.addresses}
-    assert 0x10008 in addresses
+    decoded = tuple(program.decoded)
+    assert analyze_program(program).ok
+    assert constant_addresses(decoded, build_cfg(decoded)) == {1: 0x10008}

@@ -7,7 +7,10 @@ The attack-facing commands turn attack runs into printed verdicts:
 speedups of many single-core simulations.  ``analyze --builtin --taint
 --timing --certify`` prints the static verifiers' text report: findings,
 leak maps, per-secret cycle intervals, cache distinguishers and the
-certify matrix (its JSON form is ``tests/golden/analyze_builtin.json``).  Each command is run in-process
+certify matrix (its JSON form is ``tests/golden/analyze_builtin.json``);
+``analyze --builtin --taint --json`` adds every program's taint lists and
+every victim's leak map for every secret, which the text report lists
+only for small secret spaces.  Each command is run in-process
 through :func:`repro.__main__.main` and its exit code and stdout are
 compared against ``tests/golden/cli_transcripts.json``, so a refactor of
 the attack-job plumbing or of the simulator's dispatch cannot move a
@@ -60,6 +63,7 @@ TRANSCRIPTS: tuple[tuple[str, ...], ...] = (
     ("table", "4", "--scale", "0.1"),
     ("table", "6", "--scale", "0.1"),
     ("analyze", "--builtin", "--taint", "--timing", "--certify"),
+    ("analyze", "--builtin", "--taint", "--json"),
 )
 
 

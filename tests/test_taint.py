@@ -244,3 +244,24 @@ def test_leak_map_prunes_secret_conditional_side():
     kwargs = dict(probe_base=0x2000000, scale=0x200, num_indices=16)
     assert leak_map(program, 0, **kwargs) == (0,)
     assert leak_map(program, 1, **kwargs) == (0, 1)
+
+
+def test_leak_map_ignores_clflush_at_a_resolved_probe_address():
+    """A flush evicts a line, it does not touch one: the resolved
+    ``clflush`` of probe index 2 never enters the map."""
+    source = f"""
+    .secret {SECRET:#x}
+    .data {SECRET:#x} stride=8 0
+    li   r1, {SECRET:#x}
+    load r2, 0(r1)
+    li   r3, 0x4000000
+    clflush 0x80(r3)
+    sll  r2, r2, 6
+    add  r4, r3, r2
+    load r5, 0(r4)
+    halt
+    """
+    program = assemble(source)
+    kwargs = dict(probe_base=0x4000000, scale=64, num_indices=16)
+    assert leak_map(program, 0, **kwargs) == (0,)
+    assert leak_map(program, 3, **kwargs) == (3,)
