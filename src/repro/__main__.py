@@ -56,7 +56,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -323,373 +322,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    import json as json_module
-    from pathlib import Path
-
-    from repro.analysis import (
-        ANALYSIS_RULES,
-        analyze_program,
-        leak_map,
-        render_findings,
-        secret_trials,
-    )
-    from repro.errors import AnalysisError, AssemblyError
-    from repro.isa.assembler import assemble
+    from repro.analysis.report import build_report, rule_catalog
 
     if args.list_rules:
-        for rule_id, (severity, description, fixit) in sorted(
-            ANALYSIS_RULES.items()
-        ):
-            print(f"{rule_id}  [{severity}] {description}")
-            print(f"          fix: {fixit}")
+        print(rule_catalog())
         return 0
     if not args.paths and not args.builtin and not args.certify:
         raise ConfigError(
             "analyze needs .asm paths, --builtin and/or --certify"
         )
-
-    checked = 0
-    error_count = 0
-    records: list[dict] = []
-    timing_records: list[dict] = []
-    cache_records: list[dict] = []
-
-    def interval_payload(interval) -> dict:
-        return {"lo": interval.lo, "hi": interval.hi}
-
-    def finding_payload(program, finding) -> dict:
-        severity, _, fixit = ANALYSIS_RULES[finding.rule]
-        line = None
-        if finding.index is not None and finding.index < len(
-            program.source_lines
-        ):
-            line = program.source_lines[finding.index]
-        return {
-            "rule": finding.rule,
-            "severity": severity,
-            "program": program.name,
-            "index": finding.index,
-            "line": line,
-            "message": finding.message,
-            "fixit": fixit,
-        }
-
-    def report(program, source: str, leak_maps=None, secrets=None) -> None:
-        nonlocal checked, error_count
-        checked += 1
-        analysis = program.analysis
-        if analysis is None:
-            analysis = analyze_program(program)
-        error_count += len(analysis.errors())
-        intervals = None
-        distinguisher = None
-        if args.timing:
-            bounds = analysis.timing.bounds
-            timing_entry: dict = {
-                "program": program.name,
-                "source": source,
-                "bounds": interval_payload(bounds),
-            }
-            if secrets and program.taint_sources:
-                intervals, distinguisher = secret_trials(program, secrets)
-                timing_entry["intervals"] = {
-                    str(secret): interval_payload(interval)
-                    for secret, interval in intervals.items()
-                }
-                cache_records.append(
-                    {
-                        "program": program.name,
-                        "source": source,
-                        "secrets": list(distinguisher.secrets),
-                        "distinguishable": distinguisher.distinguishable,
-                        "witness": (
-                            list(distinguisher.witness)
-                            if distinguisher.witness is not None
-                            else None
-                        ),
-                        "index": distinguisher.index,
-                        "detail": distinguisher.detail,
-                    }
-                )
-            timing_records.append(timing_entry)
-        record: dict = {
-            "program": program.name,
-            "source": source,
-            "instructions": len(program),
-            "findings": [
-                finding_payload(program, f) for f in analysis.findings
-            ],
-            "suppressed": len(analysis.suppressed),
-        }
-        if args.taint:
-            taint = analysis.taint
-            record["taint"] = {
-                "sources": list(taint.sources),
-                "secret_addressed": list(taint.secret_addressed()),
-                "secret_valued": list(taint.secret_valued()),
-                "secret_branches": list(taint.branches),
-                "undeclared": list(taint.undeclared),
-                "leaks": taint.leaks,
-            }
-            if leak_maps is not None:
-                record["leak_map"] = {
-                    str(secret): list(indices)
-                    for secret, indices in leak_maps
-                }
-        records.append(record)
-        if args.json:
-            return
-        for line in render_findings(program, analysis):
-            print(line)
-        if args.taint:
-            taint = analysis.taint
-            print(
-                f"{program.name}: taint: {len(taint.sources)} source(s), "
-                f"{len(taint.secret_addressed())} secret-addressed, "
-                f"{len(taint.secret_valued())} secret-valued, "
-                f"{len(taint.branches)} secret branch(es) -> "
-                f"{'leaks' if taint.leaks else 'clean'}"
-            )
-            if leak_maps is not None:
-                footprints = {indices for _, indices in leak_maps}
-                print(
-                    f"{program.name}: leak map: {len(leak_maps)} secret(s), "
-                    f"{len(footprints)} distinct footprint(s)"
-                )
-                if len(leak_maps) <= 16:
-                    for secret, indices in leak_maps:
-                        print(
-                            f"{program.name}:   secret {secret} -> "
-                            f"{list(indices)}"
-                        )
-        elif args.verbose and not analysis.findings:
-            print(
-                f"{program.name}: clean ({len(program)} instruction(s), "
-                f"{len(analysis.cfg.blocks)} block(s), "
-                f"{len(analysis.suppressed)} suppressed)"
-            )
-        if args.timing:
-            bounds = analysis.timing.bounds
-            hi = "unbounded" if bounds.hi is None else bounds.hi
-            print(f"{program.name}: timing: path bounds [{bounds.lo}, {hi}]")
-            if intervals is not None:
-                for secret, interval in intervals.items():
-                    hi = (
-                        "unresolved"
-                        if interval.hi is None
-                        else interval.hi
-                    )
-                    print(
-                        f"{program.name}:   secret {secret} -> "
-                        f"[{interval.lo}, {hi}]"
-                    )
-                distinct = {
-                    (interval.lo, interval.hi)
-                    for interval in intervals.values()
-                }
-                constant = len(distinct) == 1 and all(
-                    interval.exact for interval in intervals.values()
-                )
-                print(
-                    f"{program.name}: timing: "
-                    + (
-                        "constant-time across "
-                        f"{len(intervals)} trial secret(s)"
-                        if constant
-                        else f"{len(distinct)} distinct cycle interval(s) "
-                        f"over {len(intervals)} trial secret(s)"
-                    )
-                )
-            if distinguisher is not None:
-                print(
-                    f"{program.name}: cache: "
-                    + (
-                        "DISTINGUISHABLE"
-                        if distinguisher.distinguishable
-                        else "indistinguishable"
-                    )
-                    + f" -- {distinguisher.detail}"
-                )
-
-    def guarded(build, label: str, leak_maps=None, secrets=None) -> None:
-        nonlocal checked, error_count
-        try:
-            programs = build()
-        except AnalysisError as error:
-            checked += 1
-            error_count += 1
-            records.append({"program": label, "build_error": str(error)})
-            if not args.json:
-                print(f"{label}: {error}")
-            return
-        for program in programs:
-            report(
-                program,
-                label,
-                leak_maps=leak_maps if program.taint_sources else None,
-                secrets=secrets,
-            )
-
-    if args.builtin:
-        from repro.runner import ATTACK_KINDS as attack_kinds
-        from repro.workloads import get_workload, workload_names
-        from repro.workloads.crypto import get_victim, victim_names
-
-        for name in workload_names():
-            guarded(lambda n=name: [get_workload(n).program()], name)
-        for kind in sorted(attack_kinds):
-            guarded(
-                lambda k=kind: attack_kinds[k]().build_programs(), kind
-            )
-        for victim in victim_names():
-            descriptor = get_victim(victim)
-            attack = attack_kinds["flush-reload"](
-                victim=victim,
-                num_indices=descriptor.num_indices,
-                secret=0,
-            )
-            leak_maps = None
-            if args.taint:
-                try:
-                    carriers = [
-                        p
-                        for p in attack.build_programs()
-                        if p.taint_sources
-                    ]
-                except AnalysisError:
-                    carriers = []
-                if carriers:
-                    leak_maps = [
-                        (
-                            secret,
-                            leak_map(
-                                carriers[0],
-                                secret,
-                                probe_base=attack.layout.probe_base,
-                                scale=attack.options.scale,
-                                num_indices=attack.options.num_indices,
-                            ),
-                        )
-                        for secret in range(descriptor.secret_space)
-                    ]
-            guarded(
-                lambda a=attack: a.build_programs(),
-                f"victim {victim}",
-                leak_maps=leak_maps,
-                secrets=(
-                    descriptor.trial_secrets(
-                        min(8, descriptor.secret_space)
-                    )
-                    if args.timing
-                    else None
-                ),
-            )
-
-    for path in args.paths:
-        source = Path(path).read_text(encoding="utf-8")
-        try:
-            program = assemble(source, name=Path(path).stem)
-        except AssemblyError as error:
-            checked += 1
-            error_count += 1
-            records.append({"program": str(path), "build_error": str(error)})
-            if not args.json:
-                print(f"{path}: {error}")
-            continue
-        report(
-            program,
-            str(path),
-            secrets=(
-                (0, 1, 2, 3)
-                if args.timing and program.taint_sources
-                else None
-            ),
-        )
-
-    certify_section: dict = {"enabled": False}
-    if args.certify:
-        from repro.analysis import certify_grid
-
-        report_grid = certify_grid()
-        cells = []
-        findings = []
-        for cell in report_grid.cells:
-            cells.append(dict(sorted(dataclasses.asdict(cell).items())))
-            rule = None
-            if cell.verdict == "LEAKS":
-                rule = "AN-ATTACK-FEASIBLE"
-            elif cell.verdict == "DEFENDED":
-                rule = "AN-DEFENSE-CERTIFIED"
-            if rule is not None:
-                severity, _, fixit = ANALYSIS_RULES[rule]
-                findings.append(
-                    {
-                        "attack": cell.attack,
-                        "defense": cell.defense,
-                        "fixit": fixit,
-                        "message": cell.detail,
-                        "rule": rule,
-                        "severity": severity,
-                        "victim": cell.victim,
-                        "witness": (
-                            list(cell.witness)
-                            if cell.witness is not None
-                            else None
-                        ),
-                    }
-                )
-        certify_section = {
-            "enabled": True,
-            "victims": sorted({c.victim for c in report_grid.cells}),
-            "attacks": sorted({c.attack for c in report_grid.cells}),
-            "defenses": sorted({c.defense for c in report_grid.cells}),
-            "matrix": cells,
-            "findings": findings,
-            "verdicts": {
-                verdict: report_grid.count(verdict)
-                for verdict in ("LEAKS", "DEFENDED", "UNKNOWN")
-            },
-        }
-        if not args.json:
-            for cell in report_grid.cells:
-                print(
-                    f"certify: {cell.victim} x {cell.attack} x "
-                    f"{cell.defense} -> {cell.verdict} "
-                    f"(coverage {cell.coverage}) -- {cell.detail}"
-                )
-            print(
-                f"certify: {len(report_grid.cells)} cell(s): "
-                f"{report_grid.count('LEAKS')} LEAKS, "
-                f"{report_grid.count('DEFENDED')} DEFENDED, "
-                f"{report_grid.count('UNKNOWN')} UNKNOWN"
-            )
-
-    if args.json:
-        timing_section: dict = {"enabled": False}
-        cache_section: dict = {"enabled": False}
-        if args.timing:
-            timing_section = {"enabled": True, "programs": timing_records}
-            cache_section = {
-                "enabled": True,
-                "distinguishers": cache_records,
-            }
-        print(
-            json_module.dumps(
-                {
-                    "schema": "analyze/v3",
-                    "checked": checked,
-                    "errors": error_count,
-                    "programs": records,
-                    "timing": timing_section,
-                    "cache": cache_section,
-                    "certify": certify_section,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"analyze: {checked} program(s), {error_count} error(s)")
-    return 1 if error_count else 0
+    report = build_report(
+        args.paths,
+        builtin=args.builtin,
+        taint=args.taint,
+        timing=args.timing,
+        certify=args.certify,
+    )
+    print(report.to_json() if args.json else report.text(args.verbose))
+    return 1 if report.errors else 0
 
 
 def _cmd_hwcost(args: argparse.Namespace) -> int:

@@ -7,7 +7,9 @@ Two consumers drive this package:
   nowhere or a guaranteed-infinite loop fails the *build*, not a 20M-step
   simulation later;
 * ``python -m repro analyze`` — the CLI front-end that reports findings
-  with source line numbers for ``.asm`` files and registered workloads.
+  with source line numbers for ``.asm`` files and registered workloads;
+  :mod:`repro.analysis.report` analyses each program once and renders
+  the text report and the ``analyze/v3`` JSON from one tree.
 
 The analysis is pure: it reads the decode tuples produced by
 :mod:`repro.isa.decode` and never touches simulator state, so it adds
@@ -59,6 +61,7 @@ from repro.analysis.taint import (
     AccessTaint,
     TaintAnalysis,
     leak_map,
+    leak_maps,
     secret_leak_union,
     taint_analysis,
     taint_of_program,
@@ -68,7 +71,6 @@ from repro.analysis.timing import (
     DistinguisherReport,
     TimingAnalysis,
     analyze_timing,
-    cycle_bounds,
     secret_trials,
     timing_map,
 )
@@ -105,11 +107,11 @@ __all__ = [
     "build_cfg",
     "certify",
     "certify_grid",
-    "cycle_bounds",
     "defense_labels",
     "defense_model",
     "havoc_reach",
     "leak_map",
+    "leak_maps",
     "render_findings",
     "scale_trigger_satisfiable",
     "secret_leak_union",

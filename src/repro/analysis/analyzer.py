@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis.cfg import EXIT, ControlFlowGraph, build_cfg
-from repro.analysis.dataflow import use_before_def
+from repro.analysis.dataflow import constant_addresses, use_before_def
 from repro.analysis.taint import TaintAnalysis, taint_analysis
 from repro.analysis.timing import (
     TimingAnalysis,
@@ -334,8 +334,11 @@ def analyze_program(program: Program) -> ProgramAnalysis:
     """
     decoded = tuple(program.decoded)
     cfg = build_cfg(decoded)
-    taint = taint_analysis(decoded, cfg, frozenset(program.taint_sources))
-    timing = analyze_timing(decoded, cfg)
+    resolved = constant_addresses(decoded, cfg)
+    taint = taint_analysis(
+        decoded, cfg, resolved, frozenset(program.taint_sources)
+    )
+    timing = analyze_timing(decoded, cfg, resolved)
     if not decoded:
         raw = [
             Finding(index=None, rule="AN-HALT", message="program is empty")
@@ -380,8 +383,8 @@ def render_findings(program: Program, analysis: ProgramAnalysis) -> list[str]:
     for finding in analysis.findings:
         if finding.index is None:
             where = "program"
-        elif finding.index < len(program.source_lines):
-            where = f"line {program.source_lines[finding.index]}"
+        elif (line := program.source_line(finding.index)) is not None:
+            where = f"line {line}"
         else:
             where = f"instr {finding.index}"
         severity, _, fixit = ANALYSIS_RULES[finding.rule]

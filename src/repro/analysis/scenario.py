@@ -23,8 +23,9 @@ destroying the attacker's observation.  Three layers:
 * **Observation** — the walk computes the attacker's *own measurements*:
   the rdcycle deltas its probe loop stores into the results array.  Those
   latencies classify into a candidate set with the attack's published
-  ``hit_threshold`` / ``candidate_is_slow`` rule, byte-for-byte the logic
-  of :class:`repro.attacks.base.AttackOutcome`.  Each (victim, attack)
+  ``hit_threshold`` / ``candidate_is_slow`` rule, through the function
+  :class:`repro.attacks.base.AttackOutcome` calls,
+  :func:`repro.attacks.base.candidate_indices`.  Each (victim, attack)
   pair is built once, and its walk is finished once per trial secret with
   only the data word at ``AttackLayout.secret_addr`` changed; that yields
   the attacker-observable vector per secret.  The walk, over one core or
@@ -145,23 +146,6 @@ class CertificationReport:
 # -- observation -----------------------------------------------------------------
 
 
-def _candidates(
-    latencies: Sequence[int], threshold: int, candidate_is_slow: bool
-) -> frozenset[int]:
-    """Candidate indices from measured latencies — the AttackOutcome rule."""
-    if candidate_is_slow:
-        return frozenset(
-            index
-            for index, latency in enumerate(latencies)
-            if latency >= threshold
-        )
-    return frozenset(
-        index
-        for index, latency in enumerate(latencies)
-        if 0 < latency < threshold
-    )
-
-
 def _end_memory(
     finish: Callable[[int], tuple[_WalkState, _Unresolved | None]],
     secret: int,
@@ -184,6 +168,8 @@ def _read_candidates(
     attack: Any, memory: Mapping[int, int | None]
 ) -> frozenset[int]:
     """The attacker's candidate index set, read from its results array."""
+    from repro.attacks.base import candidate_indices
+
     layout, options = attack.layout, attack.options
     latencies: list[int] = []
     for index in range(options.num_indices):
@@ -191,8 +177,10 @@ def _read_candidates(
         if value is None:
             raise _Unresolved(f"result slot {index} never resolved")
         latencies.append(value)
-    return _candidates(
-        latencies, attack.hit_threshold, attack.candidate_is_slow
+    return frozenset(
+        candidate_indices(
+            latencies, attack.hit_threshold, attack.candidate_is_slow
+        )
     )
 
 
@@ -269,20 +257,23 @@ def _observe(
     else:
         havoc = ()
     scale_ok = bool(havoc) and scale_trigger_satisfiable(options.scale)
-
-    failure: str | None = None
+    unobserved = _Observations(
+        secrets=secret_tuple,
+        candidates=None,
+        feasible=None,
+        havoc=havoc,
+        scale_ok=scale_ok,
+        failure=None,
+    )
     if attack_name not in SUPPORTED_ATTACKS:
-        failure = f"attack {attack_name!r} is outside the walker's scope"
-    elif config.speculative_execution or options.victim_mode != "direct":
-        failure = "speculative semantics are outside the walker's scope"
-    if failure is not None:
-        return _Observations(
-            secrets=secret_tuple,
-            candidates=None,
-            feasible=None,
-            havoc=havoc,
-            scale_ok=scale_ok,
-            failure=failure,
+        return replace(
+            unobserved,
+            failure=f"attack {attack_name!r} is outside the walker's scope",
+        )
+    if config.speculative_execution or options.victim_mode != "direct":
+        return replace(
+            unobserved,
+            failure="speculative semantics are outside the walker's scope",
         )
 
     watch = frozenset({probe.layout.secret_addr})
@@ -298,22 +289,8 @@ def _observe(
             expected = frozenset(descriptor.expected_indices(secret, trial))
             feasible = feasible and observed == expected
     except _Unresolved as unresolved:
-        return _Observations(
-            secrets=secret_tuple,
-            candidates=None,
-            feasible=None,
-            havoc=havoc,
-            scale_ok=scale_ok,
-            failure=unresolved.reason,
-        )
-    return _Observations(
-        secrets=secret_tuple,
-        candidates=candidates,
-        feasible=feasible,
-        havoc=havoc,
-        scale_ok=scale_ok,
-        failure=None,
-    )
+        return replace(unobserved, failure=unresolved.reason)
+    return replace(unobserved, candidates=candidates, feasible=feasible)
 
 
 # -- verdict ---------------------------------------------------------------------
@@ -392,54 +369,40 @@ def _certify_cell(
     model: DefenseModel,
     observations: _Observations,
 ) -> CellCertificate:
-    coverage = _effective_coverage(model, observations.scale_ok)
-    if observations.candidates is None:
-        return CellCertificate(
-            victim=victim,
-            attack=attack,
-            defense=model.label,
-            verdict=UNKNOWN,
-            coverage=coverage,
-            feasible=None,
-            secrets=observations.secrets,
-            distinguishing=(),
-            havoc=observations.havoc,
-            witness=None,
-            detail=observations.failure or "walk did not resolve",
-        )
     secrets = observations.secrets
+    coverage = _effective_coverage(model, observations.scale_ok)
+    cell = CellCertificate(
+        victim=victim,
+        attack=attack,
+        defense=model.label,
+        verdict=UNKNOWN,
+        coverage=coverage,
+        feasible=observations.feasible,
+        secrets=secrets,
+        distinguishing=(),
+        havoc=observations.havoc,
+        witness=None,
+        detail=observations.failure or "walk did not resolve",
+    )
     candidates = observations.candidates
+    if candidates is None:
+        return cell
     differing = _distinguishing(secrets, candidates)
     if not differing:
-        return CellCertificate(
-            victim=victim,
-            attack=attack,
-            defense=model.label,
+        return replace(
+            cell,
             verdict=DEFENDED,
-            coverage=coverage,
-            feasible=observations.feasible,
-            secrets=secrets,
-            distinguishing=(),
-            havoc=observations.havoc,
-            witness=None,
             detail=(
                 f"all {len(secrets)} trial secrets yield one attacker "
                 "observable; nothing to distinguish"
             ),
         )
+    cell = replace(cell, distinguishing=differing)
     if coverage == COVERAGE_NONE:
-        witness = _witness_at(secrets, candidates, differing)
-        return CellCertificate(
-            victim=victim,
-            attack=attack,
-            defense=model.label,
+        return replace(
+            cell,
             verdict=LEAKS,
-            coverage=coverage,
-            feasible=observations.feasible,
-            secrets=secrets,
-            distinguishing=differing,
-            havoc=observations.havoc,
-            witness=witness,
+            witness=_witness_at(secrets, candidates, differing),
             detail=(
                 f"{len(differing)} probe index(es) stay distinguishable; "
                 f"defense provably idle ({model.description})"
@@ -452,50 +415,26 @@ def _certify_cell(
             if index not in set(observations.havoc)
         )
         if not uncovered:
-            return CellCertificate(
-                victim=victim,
-                attack=attack,
-                defense=model.label,
+            return replace(
+                cell,
                 verdict=DEFENDED,
-                coverage=coverage,
-                feasible=observations.feasible,
-                secrets=secrets,
-                distinguishing=differing,
-                havoc=observations.havoc,
-                witness=None,
                 detail=(
                     f"every distinguishing index ({len(differing)}) is "
                     "havocked to top by the certainly-firing defense"
                 ),
             )
-        witness = _witness_at(secrets, candidates, uncovered)
-        return CellCertificate(
-            victim=victim,
-            attack=attack,
-            defense=model.label,
+        return replace(
+            cell,
             verdict=LEAKS,
-            coverage=coverage,
-            feasible=observations.feasible,
-            secrets=secrets,
-            distinguishing=differing,
-            havoc=observations.havoc,
-            witness=witness,
+            witness=_witness_at(secrets, candidates, uncovered),
             detail=(
                 f"{len(uncovered)} distinguishing index(es) escape the "
                 "defense's certain havoc reach"
             ),
         )
-    return CellCertificate(
-        victim=victim,
-        attack=attack,
-        defense=model.label,
-        verdict=UNKNOWN,
+    return replace(
+        cell,
         coverage=COVERAGE_POSSIBLE,
-        feasible=observations.feasible,
-        secrets=secrets,
-        distinguishing=differing,
-        havoc=observations.havoc,
-        witness=None,
         detail=(
             "distinguishable undefended, but the defense's firing is only "
             f"possible ({model.description})"

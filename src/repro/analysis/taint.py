@@ -19,12 +19,12 @@ executes:
   secret-derived but the address is fixed), or *clean*; plus
   secret-dependent branches (``K_BRANCH`` on a tainted register) — a
   control-flow channel the dynamic scenario suite cannot see directly.
-* **leak map** (:func:`leak_map`) — bind the declared secret cells to one
-  concrete secret value and re-run constant propagation with *feasible
-  edges only* (branches whose operands are known constants propagate down
-  one side), then read off which probe-array indices the resolved
-  accesses touch, with the address walk
-  :func:`~repro.analysis.dataflow.constant_addresses` also reads
+* **leak maps** (:func:`leak_maps`) — for each secret, bind the declared
+  secret cells to that value and re-run constant propagation with
+  *feasible edges only* (branches whose operands are known constants
+  propagate down one side) over the program's one CFG, then read off
+  which probe-array indices the resolved accesses touch, with the address
+  walk :func:`~repro.analysis.dataflow.constant_addresses` also reads
   (:func:`~repro.analysis.dataflow.resolve_addresses`).
   ``tests/test_taint_oracle.py`` locks this map against
   :meth:`~repro.workloads.crypto.CryptoVictim.expected_indices` and the
@@ -47,7 +47,8 @@ Deliberate scope limits (guarded by the differential oracle):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from functools import partial
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.analysis.cfg import (
     EXIT,
@@ -225,13 +226,16 @@ def _taint_fixpoint(
 def taint_analysis(
     decoded: Decoded,
     cfg: ControlFlowGraph,
+    resolved: Mapping[int, int],
     taint_sources: frozenset[int],
 ) -> TaintAnalysis:
     """Classify every reachable access and branch of ``decoded``.
 
-    ``taint_sources`` are the declared secret byte addresses; the pass
-    also reports loads hitting :data:`KNOWN_SECRET_ADDRS` cells that were
-    *not* declared (the ``AN-SECRET-UNDECLARED`` rule's substrate).
+    ``resolved`` is :func:`~repro.analysis.dataflow.constant_addresses`
+    over ``decoded`` and ``cfg``.  ``taint_sources`` are the declared
+    secret byte addresses; the pass also reports loads hitting
+    :data:`KNOWN_SECRET_ADDRS` cells that were *not* declared (the
+    ``AN-SECRET-UNDECLARED`` rule's substrate).
     """
     if not cfg.blocks:
         return TaintAnalysis(
@@ -241,7 +245,6 @@ def taint_analysis(
             undeclared=(),
             tainted_memory=(),
         )
-    resolved = constant_addresses(decoded, cfg)
 
     # Outer fixpoint: stores of tainted values to resolved addresses taint
     # those cells, which can seed further loads.  The cell set only grows,
@@ -341,10 +344,18 @@ def taint_analysis(
 
 
 def taint_of_program(program: Any) -> TaintAnalysis:
-    """Convenience wrapper: taint analysis of a finalized Program."""
+    """Taint analysis of a finalized Program: a strict build's cached
+    one (``program.analysis``), else computed."""
+    if program.analysis is not None:
+        cached: TaintAnalysis = program.analysis.taint
+        return cached
     decoded = tuple(program.decoded)
+    cfg = build_cfg(decoded)
     return taint_analysis(
-        decoded, build_cfg(decoded), frozenset(program.taint_sources)
+        decoded,
+        cfg,
+        constant_addresses(decoded, cfg),
+        frozenset(program.taint_sources),
     )
 
 
@@ -412,6 +423,54 @@ def _feasible_successors(
     return tuple(s for s in block.successors if s == chosen)
 
 
+def leak_maps(
+    program: Any,
+    secrets: Iterable[int],
+    *,
+    probe_base: int,
+    scale: int,
+    num_indices: int,
+) -> dict[int, tuple[int, ...]]:
+    """Probe-array indices ``program`` touches, for each of ``secrets``.
+
+    For each secret, every declared taint-source cell is bound to it,
+    feasible-edge constant propagation runs to fixpoint over the program's
+    one CFG (a branch whose operands are known constants propagates down
+    one side only, so RSA's multiply lookup drops out exactly when the
+    secret skips it), and each resolved reachable ``load``/``store``/
+    ``prefetch`` (never a ``clflush``: it evicts a line, it does not touch
+    one) landing inside the probe array
+    ``[probe_base, probe_base + num_indices*scale)`` contributes the index
+    ``(address - probe_base) // scale``.  Attacker sweeps never resolve
+    (their index is loop-carried), so each map is exactly the victim's
+    secret-dependent footprint — compared against
+    :meth:`~repro.workloads.crypto.CryptoVictim.expected_indices` by the
+    differential oracle.
+    """
+    decoded = tuple(program.decoded)
+    cfg = build_cfg(decoded)
+    feasible = partial(_feasible_successors, decoded, cfg)
+    cells = sorted(program.taint_sources)
+    span = num_indices * scale
+    maps: dict[int, tuple[int, ...]] = {}
+    for secret in secrets:
+        bindings = dict.fromkeys(cells, secret & WORD_MASK)
+        resolved = resolve_addresses(
+            decoded, cfg, _bound_transfer(bindings), feasible
+        )
+        maps[secret] = tuple(
+            sorted(
+                {
+                    (address - probe_base) // scale
+                    for i, address in resolved.items()
+                    if decoded[i][0] != K_CLFLUSH
+                    and probe_base <= address < probe_base + span
+                }
+            )
+        )
+    return maps
+
+
 def leak_map(
     program: Any,
     secret: int,
@@ -420,44 +479,15 @@ def leak_map(
     scale: int,
     num_indices: int,
 ) -> tuple[int, ...]:
-    """Probe-array indices ``program`` touches when its secrets equal ``secret``.
-
-    Every declared taint-source cell is bound to ``secret``, feasible-edge
-    constant propagation runs to fixpoint (a branch whose operands are
-    known constants propagates down one side only, so RSA's multiply
-    lookup drops out exactly when the secret skips it), and each resolved
-    reachable ``load``/``store``/``prefetch`` (never a ``clflush``: it
-    evicts a line, it does not touch one) landing inside the probe array
-    ``[probe_base, probe_base + num_indices*scale)`` contributes the index
-    ``(address - probe_base) // scale``.  Attacker sweeps never resolve
-    (their index is loop-carried), so the map is exactly the victim's
-    secret-dependent footprint — compared against
-    :meth:`~repro.workloads.crypto.CryptoVictim.expected_indices` by the
-    differential oracle.
-    """
-    decoded = tuple(program.decoded)
-    cfg = build_cfg(decoded)
-    bindings = {
-        address: secret & WORD_MASK
-        for address in sorted(program.taint_sources)
-    }
-    resolved = resolve_addresses(
-        decoded,
-        cfg,
-        _bound_transfer(bindings),
-        lambda block, state: _feasible_successors(decoded, cfg, block, state),
-    )
-    span = num_indices * scale
-    return tuple(
-        sorted(
-            {
-                (address - probe_base) // scale
-                for i, address in resolved.items()
-                if decoded[i][0] != K_CLFLUSH
-                and probe_base <= address < probe_base + span
-            }
-        )
-    )
+    """Probe-array indices ``program`` touches when its secrets equal
+    ``secret``: :func:`leak_maps` for one secret."""
+    return leak_maps(
+        program,
+        (secret,),
+        probe_base=probe_base,
+        scale=scale,
+        num_indices=num_indices,
+    )[secret]
 
 
 def secret_leak_union(
@@ -468,7 +498,7 @@ def secret_leak_union(
     scale: int,
     num_indices: int,
 ) -> tuple[int, ...]:
-    """Union of :func:`leak_map` over every secret in ``[0, secret_space)``.
+    """Union of :func:`leak_maps` over every secret in ``[0, secret_space)``.
 
     The set of probe-array indices *any* secret can reach — the substrate
     of the defense havoc domain (:mod:`repro.analysis.defense`): a guided
@@ -476,15 +506,13 @@ def secret_leak_union(
     this union, because its decoy selection may depend on whichever secret
     the victim holds.
     """
-    indices: set[int] = set()
-    for secret in range(max(1, secret_space)):
-        indices.update(
-            leak_map(
-                program,
-                secret,
-                probe_base=probe_base,
-                scale=scale,
-                num_indices=num_indices,
-            )
-        )
-    return tuple(sorted(indices))
+    maps = leak_maps(
+        program,
+        range(max(1, secret_space)),
+        probe_base=probe_base,
+        scale=scale,
+        num_indices=num_indices,
+    )
+    return tuple(
+        sorted({index for indices in maps.values() for index in indices})
+    )

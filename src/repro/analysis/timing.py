@@ -2,7 +2,7 @@
 
 Three layers on top of :mod:`repro.analysis.cachemodel`:
 
-* :func:`analyze_timing` / :func:`cycle_bounds` — abstract interpretation
+* :func:`analyze_timing` — abstract interpretation
   of the cache hierarchy over the PR 6 CFG (join at merge points, one
   :class:`~repro.analysis.cachemodel.HierarchyState` per block), then a
   per-block cycle-cost interval combining the core's Table III calc-rule
@@ -41,14 +41,14 @@ how imprecision is treated (see :class:`_WalkState`).
 Scope: the non-speculative semantics the undefended ``Base``
 configuration runs (no prefetcher, default :class:`~repro.cpu.core.CoreConfig`).
 A speculative core's transient windows are invisible to the architectural
-CFG, so :func:`analyze_timing` returns the trivial ``[0, None]`` bound for
-one rather than pretend.
+CFG, so :func:`secret_trials` returns the trivial ``[0, None]`` interval
+for one rather than pretend.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.cachemodel import HierarchyState, LatencyInterval
@@ -56,10 +56,9 @@ from repro.analysis.cfg import (
     EXIT,
     BasicBlock,
     ControlFlowGraph,
-    build_cfg,
     forward,
 )
-from repro.analysis.dataflow import _transfer, constant_addresses
+from repro.analysis.dataflow import _transfer
 from repro.analysis.taint import TaintAnalysis, _branch_taken, taint_of_program
 from repro.cpu.alu import MUL_KINDS
 from repro.cpu.blocks import BLOCK_KINDS
@@ -106,8 +105,6 @@ class TimingAnalysis:
 
     #: Whole-program entry→halt cycle bounds.
     bounds: CycleInterval
-    #: Per-block ``(lo, hi)`` cycle cost, in block order.
-    block_costs: tuple[tuple[int, int], ...]
     #: Abstract latency interval of every reachable memory access.
     access_latencies: Mapping[int, LatencyInterval]
     #: Minimum remaining cost from each block's start to program exit
@@ -117,14 +114,6 @@ class TimingAnalysis:
 
 _EMPTY_TIMING = TimingAnalysis(
     bounds=CycleInterval(0, 0),
-    block_costs=(),
-    access_latencies={},
-    min_to_exit={},
-)
-
-_TRIVIAL_TIMING = TimingAnalysis(
-    bounds=CycleInterval(0, None),
-    block_costs=(),
     access_latencies={},
     min_to_exit={},
 )
@@ -282,22 +271,15 @@ def _max_from_entry(
 
 
 def analyze_timing(
-    decoded: Decoded,
-    cfg: ControlFlowGraph,
-    core: CoreConfig | None = None,
-    hierarchy: HierarchyConfig | None = None,
+    decoded: Decoded, cfg: ControlFlowGraph, resolved: Mapping[int, int]
 ) -> TimingAnalysis:
-    """Abstract cache + cycle-interval analysis over a built CFG."""
-    config = core or CoreConfig()
-    if config.speculative_execution:
-        # Transient windows re-order and replay work invisibly to the
-        # architectural CFG; no non-trivial static bound is sound.
-        return _TRIVIAL_TIMING
+    """Abstract cache + cycle-interval analysis over a built CFG, for the
+    default core and hierarchy; ``resolved`` is
+    :func:`~repro.analysis.dataflow.constant_addresses` of both."""
     if not cfg.blocks:
         return _EMPTY_TIMING
-    hconfig = hierarchy or HierarchyConfig()
-    resolved = constant_addresses(decoded, cfg)
-    in_states = _timing_fixpoint(decoded, cfg, resolved, hconfig)
+    config = CoreConfig()
+    in_states = _timing_fixpoint(decoded, cfg, resolved, HierarchyConfig())
 
     cost_lo: dict[int, int] = {}
     cost_hi: dict[int, int] = {}
@@ -324,23 +306,9 @@ def analyze_timing(
     bound_hi = _max_from_entry(cfg, cost_hi, min_exit)
     return TimingAnalysis(
         bounds=CycleInterval(bound_lo, bound_hi),
-        block_costs=tuple(
-            (cost_lo.get(b.index, 0), cost_hi.get(b.index, 0))
-            for b in cfg.blocks
-        ),
         access_latencies=access_latencies,
         min_to_exit=min_exit,
     )
-
-
-def cycle_bounds(
-    program: Any,
-    core: CoreConfig | None = None,
-    hierarchy: HierarchyConfig | None = None,
-) -> TimingAnalysis:
-    """Convenience wrapper: timing analysis of a finalized Program."""
-    decoded = tuple(program.decoded)
-    return analyze_timing(decoded, build_cfg(decoded), core, hierarchy)
 
 
 # -- AN-TIMING-VAR substrate ----------------------------------------------------
@@ -819,30 +787,27 @@ def _distinguisher(
 
     ``observed is None`` means the comparison was not run.
     """
+    report = DistinguisherReport(
+        secrets=secrets,
+        distinguishable=False,
+        witness=None,
+        index=None,
+        detail="not evaluated (needs >= 2 secrets, non-speculative core)",
+    )
     if observed is None:
-        return DistinguisherReport(
-            secrets=secrets,
-            distinguishable=False,
-            witness=None,
-            index=None,
-            detail="not evaluated (needs >= 2 secrets, non-speculative core)",
-        )
+        return report
     for secret in secrets:
         if secret not in observed:
-            return DistinguisherReport(
-                secrets=secrets,
-                distinguishable=False,
-                witness=None,
-                index=None,
-                detail=f"walk for secret {secret} did not resolve",
+            return replace(
+                report, detail=f"walk for secret {secret} did not resolve"
             )
     first_secret = secrets[0]
     first_index, first_state = observed[first_secret]
     for secret in secrets[1:]:
         index, observable = observed[secret]
         if observable != first_state or index != first_index:
-            return DistinguisherReport(
-                secrets=secrets,
+            return replace(
+                report,
                 distinguishable=True,
                 witness=(first_secret, secret),
                 index=first_index if first_index is not None else index,
@@ -851,11 +816,8 @@ def _distinguisher(
                     "must/may residency in a shared cache level"
                 ),
             )
-    return DistinguisherReport(
-        secrets=secrets,
-        distinguishable=False,
-        witness=None,
-        index=None,
+    return replace(
+        report,
         detail=(
             f"all {len(secrets)} secrets converge to one "
             "attacker-observable residency state"

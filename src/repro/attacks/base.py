@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Sequence
 
 from repro.attacks.layout import L1_SET_SPAN, AttackLayout, AttackOptions
 from repro.cpu.core import CoreConfig
@@ -39,6 +39,16 @@ def verdict_line(
     )
 
 
+def candidate_indices(
+    latencies: Sequence[int], threshold: int, candidate_is_slow: bool
+) -> list[int]:
+    """Indices whose latency marks them as possible secrets: at or above
+    ``threshold`` if ``candidate_is_slow``, else nonzero and below it."""
+    if candidate_is_slow:
+        return [i for i, lat in enumerate(latencies) if lat >= threshold]
+    return [i for i, lat in enumerate(latencies) if 0 < lat < threshold]
+
+
 @dataclass
 class AttackOutcome:
     """Classified result of one attack run."""
@@ -55,15 +65,9 @@ class AttackOutcome:
     @property
     def candidates(self) -> list[int]:
         """Indices whose latency marks them as possible secrets."""
-        if self.candidate_is_slow:
-            return [
-                i for i, lat in enumerate(self.latencies) if lat >= self.threshold
-            ]
-        return [
-            i
-            for i, lat in enumerate(self.latencies)
-            if 0 < lat < self.threshold
-        ]
+        return candidate_indices(
+            self.latencies, self.threshold, self.candidate_is_slow
+        )
 
     @property
     def attack_succeeded(self) -> bool:

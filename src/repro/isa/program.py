@@ -140,7 +140,8 @@ class Program:
         self.suppressions.add((rule, index))
         return self
 
-    def _source_line(self, position: int) -> int | None:
+    def source_line(self, position: int) -> int | None:
+        """1-based source line of instruction ``position``, when known."""
         if position < len(self.source_lines):
             return self.source_lines[position]
         return None
@@ -168,13 +169,13 @@ class Program:
                             raise AssemblyError(
                                 f"undefined label {target!r} at instruction "
                                 f"{position}",
-                                self._source_line(position),
+                                self.source_line(position),
                             )
                         instruction.target = self.labels[target]
                     elif not isinstance(target, int):
                         raise AssemblyError(
                             f"branch at instruction {position} has no target",
-                            self._source_line(position),
+                            self.source_line(position),
                         )
             self.decoded = decode_program(
                 self.instructions, self.code_base, INSTRUCTION_SIZE

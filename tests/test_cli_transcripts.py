@@ -10,11 +10,16 @@ leak maps, per-secret cycle intervals, cache distinguishers and the
 certify matrix (its JSON form is ``tests/golden/analyze_builtin.json``);
 ``analyze --builtin --taint --json`` adds every program's taint lists and
 every victim's leak map for every secret, which the text report lists
-only for small secret spaces.  Each command is run in-process
-through :func:`repro.__main__.main` and its exit code and stdout are
-compared against ``tests/golden/cli_transcripts.json``, so a refactor of
-the attack-job plumbing or of the simulator's dispatch cannot move a
-single printed character.
+only for small secret spaces.  ``analyze --builtin --verbose --timing``
+adds the clean-program lines and every program's path bounds, and the
+three ``tests/golden/analyze_*.asm`` fixtures (one fails to assemble, one
+has error findings, one declares a secret) pin the ``.asm`` path through
+``--taint --timing --verbose`` as text and as JSON.  Each command is run
+in-process from the repo root, so the fixtures' relative paths are what
+the output names, through :func:`repro.__main__.main`, and its exit code
+and stdout are compared against ``tests/golden/cli_transcripts.json``, so
+a refactor of the attack-job plumbing, the simulator's dispatch or the
+analyze report cannot move a single printed character.
 
 Regenerate (only when an *intentional* output change lands)::
 
@@ -33,9 +38,15 @@ import pytest
 
 from repro.__main__ import main
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "cli_transcripts.json"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "cli_transcripts.json"
 
 ALL_DEFENSES = "Base,ST,AT,ST+AT,AT+RP,FULL"
+
+ANALYZE_FIXTURES = tuple(
+    f"tests/golden/analyze_{name}.asm"
+    for name in ("bad_assembly", "findings", "secret")
+)
 
 TRANSCRIPTS: tuple[tuple[str, ...], ...] = (
     ("attack", "flush-reload", "--defense", ALL_DEFENSES),
@@ -64,6 +75,9 @@ TRANSCRIPTS: tuple[tuple[str, ...], ...] = (
     ("table", "6", "--scale", "0.1"),
     ("analyze", "--builtin", "--taint", "--timing", "--certify"),
     ("analyze", "--builtin", "--taint", "--json"),
+    ("analyze", "--builtin", "--verbose", "--timing"),
+    ("analyze", "--taint", "--timing", "--verbose", *ANALYZE_FIXTURES),
+    ("analyze", "--taint", "--timing", "--verbose", "--json", *ANALYZE_FIXTURES),
 )
 
 
@@ -73,7 +87,7 @@ def _name(argv: tuple[str, ...]) -> str:
 
 def _transcript(argv: tuple[str, ...]) -> dict:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.chdir(REPO_ROOT), contextlib.redirect_stdout(out):
         code = main(list(argv))
     return {"exit": code, "stdout": out.getvalue().splitlines()}
 
