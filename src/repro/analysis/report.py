@@ -190,7 +190,7 @@ def build_report(
         for name in workload_names():
             entries += _entries(name, lambda: [get_workload(name).program()])
         for kind in sorted(ATTACK_KINDS):
-            entries += _entries(kind, ATTACK_KINDS[kind]().build_programs)
+            entries += _entries(kind, ATTACK_KINDS[kind]().programs)
         for victim in victim_names():
             descriptor = get_victim(victim)
             space = descriptor.secret_space
@@ -206,7 +206,7 @@ def build_report(
             )
             entries += _entries(
                 f"victim {victim}",
-                attack.build_programs,
+                attack.programs,
                 descriptor.trial_secrets(min(8, space)) if timing else (),
                 maps_of if taint else None,
             )

@@ -215,7 +215,11 @@ def _observe(
 ) -> _Observations:
     """Walk one (victim, attack) pair for every distinct trial secret.
 
-    The attack is built, and so strictly analysed, once.  Strict findings
+    The attack's programs come from its memo (:meth:`CacheAttack.programs
+    <repro.attacks.base.CacheAttack.programs>`): one build, and so one
+    strict analysis, serves every trial secret, and a pair that the
+    simulator or the ``analyze`` report built is not built again while the
+    memo holds it.  Strict findings
     read only the decoded program, its taint sources and its suppressions,
     and a build for another secret differs only in the data word at
     ``layout.secret_addr`` (``tests/test_certify_fork.py``).  Walks
@@ -243,7 +247,7 @@ def _observe(
         secret=secret_tuple[0],
         num_indices=descriptor.num_indices,
     )
-    programs = probe.build_programs()
+    programs = probe.programs()
     carrier = next((p for p in programs if p.taint_sources), None)
     options = probe.options
     if carrier is not None:

@@ -138,6 +138,18 @@ class CacheAttack:
         """One program per core (attacker first)."""
         raise NotImplementedError
 
+    def programs(self) -> tuple[Program, ...]:
+        """This attack's finalized programs, one per core, from a memo of
+        the :data:`PROGRAM_MEMO_SIZE` most recent builds.
+
+        The memo is keyed on the attack class, its full options (secret
+        included) and its layout.  A system config is not in the key,
+        because no defense changes a program: the six defense rows of one
+        (victim, attack) pair, and the certifier's walks of that pair,
+        share one build.  Every caller only reads the programs.
+        """
+        return _programs(type(self), self.options, self.layout)
+
     def adjust_core_config(self, config: CoreConfig) -> CoreConfig:
         """Spectre variants enable speculation here."""
         if self.options.victim_mode == "spectre":
@@ -163,14 +175,8 @@ class CacheAttack:
         Returns ``(system, resolved_config)``.  Split out of :meth:`run` so
         the snapshot-replay runner (:mod:`repro.attacks.replay`) can build
         once, warm up, and re-simulate many trials off a restored image.
-
-        Programs come from a memo of the :data:`PROGRAM_MEMO_SIZE` most
-        recent builds, keyed on the attack class, its full options (secret
-        included) and its layout; the system config is not in the key,
-        because no defense changes a program.  So the six defense rows of
-        one (victim, attack) pair share one build, and a run that is not
-        replayed still gets its own secret's data word.  Every system
-        built from a memo entry only reads its finalized programs.
+        Programs come from :meth:`programs`, so a run that is not replayed
+        still gets its own secret's data word.
         """
         config = system_config or SystemConfig()
         config = replace(
@@ -178,8 +184,7 @@ class CacheAttack:
             num_cores=self.num_cores,
             core=self.adjust_core_config(config.core),
         )
-        programs = _programs(type(self), self.options, self.layout)
-        return build_system(list(programs), config), config
+        return build_system(list(self.programs()), config), config
 
     def classify(
         self, system: System, config: SystemConfig, result: RunResult
@@ -211,7 +216,7 @@ class CacheAttack:
         return self.classify(system, config, result)
 
 
-#: Program sets :meth:`CacheAttack.prepare` keeps.  A batch runs its cells
+#: Program sets :meth:`CacheAttack.programs` keeps.  A batch runs its cells
 #: in the order their trials were first submitted, which may interleave
 #: (victim, attack) pairs, so the memo holds every pair of the 15-pair
 #: default grid at once, with room to spare.

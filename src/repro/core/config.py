@@ -54,6 +54,32 @@ class PrefenderConfig:
         """Copy with a different access-buffer count (Tables IV/V sweeps)."""
         return replace(self, num_access_buffers=num_access_buffers)
 
+    def for_load_pcs(self, load_pcs: int) -> "PrefenderConfig":
+        """The config this PREFENDER behaves as on a core whose program has
+        ``load_pcs`` distinct load PCs.
+
+        With the Access Tracker on, the buffer count is clamped to
+        ``max(1, min(num_access_buffers, load_pcs))``; otherwise, and when
+        the clamp changes nothing, this config itself is returned.  Any
+        count of at least ``load_pcs`` gives the same run:
+
+        * allocation takes the first invalid buffer, and a buffer keeps
+          its PC until it is replaced, so a new PC finds at most
+          ``load_pcs - 1`` buffers valid and takes the same buffer at
+          every such count;
+        * replacement and allocation failure happen only once every buffer
+          is valid, so they never happen;
+        * no other part of a run's result reads the buffer count: invalid
+          buffers are never protected, and the Record Protector walks only
+          the buffers it protected.
+        """
+        if not self.at_enabled:
+            return self
+        count = max(1, min(self.num_access_buffers, load_pcs))
+        if count == self.num_access_buffers:
+            return self
+        return self.with_buffers(count)
+
     # -- paper variants ---------------------------------------------------------
 
     @classmethod

@@ -29,6 +29,9 @@ from repro.utils.addr import AddressMap
 class Prefender(Prefetcher):
     """Secure prefetcher: ST + AT + RP behind one observe() entry point."""
 
+    #: Every tracker reacts to demand loads only.
+    observes_stores = False
+
     def __init__(
         self,
         config: PrefenderConfig | None = None,

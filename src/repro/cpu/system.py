@@ -12,7 +12,8 @@ ends it just before the next scheduled core's first non-speculative
 reads its secret).  :meth:`System.run` keeps two specialised loops for the
 hot cases, a single core (every Table IV run) with no arbitration at all
 and two cores (every cross-core attack) with a direct comparison, and
-hands more active cores to the scan.  All three orders are identical,
+hands more active cores to the scan until one of them halts, when it
+looks at the count again.  All three orders are identical,
 which ``tests/test_golden_parity.py`` and ``tests/test_block_fuzz.py`` pin.
 
 A scheduler step is one compiled block, one instruction, or one squash;
@@ -148,13 +149,21 @@ class System:
     def _advance(self, budget: int) -> int:
         """Take up to ``budget`` scheduler steps with the loop for the
         active-core count; returns the steps taken, fewer only once every
-        core has halted."""
-        active = [core for core in self.cores if not core.halted]
-        if len(active) == 1:
-            return self._run_single(active[0], 0, budget)
-        if len(active) == 2:
-            return self._run_pair(active[0], active[1], budget)
-        return self.run_steps(budget)
+        core has halted.  Three or more active cores share the scan until
+        one halts; then the count is taken again, so the last two reach
+        ``_run_pair`` and the last one its lone-core blocks."""
+        taken = 0
+        while True:
+            active = [core for core in self.cores if not core.halted]
+            if len(active) == 1:
+                return self._run_single(active[0], taken, budget)
+            if len(active) == 2:
+                return taken + self._run_pair(
+                    active[0], active[1], budget - taken
+                )
+            if not active or taken == budget:
+                return taken
+            taken += self._scan(budget - taken, None, until_halt=True)
 
     # -- snapshot/restore ------------------------------------------------------
 
@@ -207,6 +216,13 @@ class System:
         secret; the parity harness stops a run at an arbitrary point,
         snapshots, and compares resumed executions state-for-state.
         """
+        return self._scan(steps, stop_before_load, until_halt=False)
+
+    def _scan(
+        self, steps: int, stop_before_load: int | None, until_halt: bool
+    ) -> int:
+        """:meth:`run_steps`'s min-time scan; with ``until_halt`` it also
+        returns just after a step that halts a core."""
         taken = 0
         active = [core for core in self.cores if not core.halted]
         while active and taken < steps:
@@ -229,6 +245,8 @@ class System:
             core.step()
             taken += 1
             if core.halted:
+                if until_halt:
+                    break
                 active = [c for c in active if not c.halted]
         return taken
 

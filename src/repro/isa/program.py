@@ -80,6 +80,11 @@ class Program:
         """Instruction index for address ``pc``."""
         return (pc - self.code_base) // INSTRUCTION_SIZE
 
+    def load_pc_count(self) -> int:
+        """Distinct PCs of the program's ``load`` instructions: the most
+        Access Tracker buffers a run of it can hold valid at once."""
+        return sum(1 for inst in self.instructions if inst.op == "load")
+
     def _check_editable(self, edit: str) -> None:
         """Refuse ``edit`` once finalized: the decode tuples, the resolved
         branch targets and a strict build's cached analysis were all made

@@ -99,6 +99,7 @@ class MemoryHierarchy:
         "l1ds",
         "_prefetchers",
         "_active",
+        "_store_active",
         "_logs",
         "_exclusive",
         "ownership_steals",
@@ -149,6 +150,8 @@ class MemoryHierarchy:
         # demand path skips Observation construction entirely for those
         # cores (a NullPrefetcher counts as "not attached").
         self._active: list[Prefetcher | None] = [None] * num_cores
+        # The same for stores, also None when the prefetcher ignores them.
+        self._store_active: list[Prefetcher | None] = [None] * num_cores
         self._logs = [_PrefetchLog() for _ in range(num_cores)]
         # block address -> core id holding the line exclusively (prefetchw).
         self._exclusive: dict[int, int] = {}
@@ -163,8 +166,10 @@ class MemoryHierarchy:
         self._prefetchers[core_id] = prefetcher
         # Wiring-time attachment, not sim state: restore() checks the
         # attachment shape instead of re-creating it.
-        self._active[core_id] = (  # lint: allow SNAP501
-            None if isinstance(prefetcher, NullPrefetcher) else prefetcher
+        active = None if isinstance(prefetcher, NullPrefetcher) else prefetcher
+        self._active[core_id] = active  # lint: allow SNAP501
+        self._store_active[core_id] = (  # lint: allow SNAP501
+            active if active is not None and active.observes_stores else None
         )
 
     def prefetcher_for(self, core_id: int) -> Prefetcher | None:
@@ -276,7 +281,7 @@ class MemoryHierarchy:
             for other_id, other in enumerate(self.l1ds):
                 if other_id != core_id and other.invalidate_block(block_addr):
                     other.stats.cross_invalidations += 1
-        prefetcher = self._active[core_id]
+        prefetcher = self._store_active[core_id]
         if prefetcher is not None:
             observation = Observation(
                 op="store",

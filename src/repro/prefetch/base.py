@@ -74,6 +74,10 @@ class Prefetcher:
     """Base class: observes demand accesses, proposes prefetches."""
 
     name = "null"
+    #: False when :meth:`observe` answers every store with ``[]`` and
+    #: changes no state for it: the hierarchy then builds no
+    #: :class:`Observation` for this core's stores.
+    observes_stores = True
 
     def observe(
         self, observation: Observation, l1d_contains: ContainsProbe

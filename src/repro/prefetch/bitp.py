@@ -20,6 +20,7 @@ class BITPPrefetcher(Prefetcher):
     """Back-invalidation-triggered prefetcher."""
 
     name = "bitp"
+    observes_stores = False
 
     def __init__(self) -> None:
         self.back_invalidation_hits = 0

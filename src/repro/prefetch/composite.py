@@ -22,6 +22,9 @@ class CompositePrefetcher(Prefetcher):
         self.primary = primary
         self.secondary = secondary
         self.name = f"{primary.name}+{secondary.name}"
+        self.observes_stores = (
+            primary.observes_stores or secondary.observes_stores
+        )
 
     def reset(self) -> None:
         self.primary.reset()

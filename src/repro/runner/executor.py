@@ -8,6 +8,14 @@ call (``python -m repro table 4 --jobs 4``), or a caller-owned pool whose
 warm workers are reused across successive calls (``python -m repro
 frontier``).  Results always come back in input order, so a parallel table
 regeneration is byte-identical to a sequential one.
+
+A batch run inline (one worker, no pool) runs inside
+:func:`~repro.runner.job.shared_runs`: a :class:`~repro.runner.job.SimJob`
+whose effective key an earlier job of the same batch already simulated
+gets a copy of that result.  Table IV's 16/32/64-buffer columns are such
+jobs, because no bundled program has more than 4 load PCs.  Each job still
+makes its own ``run()`` call; the table is dropped when the batch returns,
+and a pool's workers simulate every job.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.errors import ConfigError
+from repro.runner.job import ScenarioJob, shared_runs
 from repro.runner.pool import WorkerPool, default_workers
 from repro.runner.store import ResultStore
 
@@ -39,7 +48,8 @@ def run_batch(
         jobs: sequence of :class:`~repro.runner.job.SimJob` /
             :class:`~repro.runner.job.ScenarioJob` (anything with
             ``key()``, ``run()`` and a ``cacheable`` flag).  Duplicate keys
-            are run once and the result shared.
+            are run once and the result shared; inline, sim jobs with
+            equal effective keys share one simulation (see above).
         workers: process count; ``1`` runs inline (no pool), ``0`` means
             one worker per CPU core.  Ignored when ``pool`` is given.
         store: optional on-disk store consulted before running and updated
@@ -89,7 +99,8 @@ def run_batch(
     if pool is not None:
         outputs = pool.run(runnables)
     elif workers == 1 or len(units) <= 1:
-        outputs = [runnable.run() for runnable in runnables]
+        with shared_runs():
+            outputs = [runnable.run() for runnable in runnables]
     else:
         with WorkerPool(min(workers, len(units))) as call_pool:
             outputs = call_pool.run(runnables)
@@ -131,7 +142,6 @@ def _plan_units(
         replay_eligible,
         replay_group_key,
     )
-    from repro.runner.job import ScenarioJob
 
     # Trials are gathered by the cheap replay_cell first, and each cell is
     # keyed once; cells whose group keys match merge, so the groups are

@@ -14,7 +14,9 @@ Two job kinds cover everything the experiments run:
 
 * :class:`SimJob` — one workload program on one system config
   (:func:`repro.sim.simulator.run_program`); returns a JSON-serialisable
-  :class:`SimResult`, so results can live in the on-disk store.
+  :class:`SimResult`, so results can live in the on-disk store.  Inside
+  :func:`shared_runs` (an inline batch), jobs whose effective keys match
+  share one simulation.
 * :class:`ScenarioJob` — one attack (by registry name) against one victim
   under one system config, for one secret.  The paper's own victim is the
   ``direct`` one, a single access at index ``secret``; the crypto victims
@@ -34,8 +36,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterator
 
 from repro.attacks import (
     AdversarialPrefetchA1,
@@ -50,6 +54,7 @@ from repro.attacks.base import verdict_line
 from repro.attacks.layout import AttackOptions
 from repro.cpu.system import RunResult
 from repro.errors import ConfigError
+from repro.isa.program import Program
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import run_program
 from repro.workloads import get_workload
@@ -227,8 +232,40 @@ class SimJob:
     def key(self) -> str:
         return job_key(self)
 
+    def effective(self, program: Program) -> "SimJob":
+        """The job this one behaves as on ``program``: a PREFENDER's config
+        clamped by :meth:`~repro.core.config.PrefenderConfig.for_load_pcs`
+        to the program's load PCs.  Jobs whose effective keys are equal
+        give equal results; a job that no clamp changes is its own."""
+        spec = self.system.prefetcher
+        if not spec.kind.startswith("prefender"):
+            return self
+        prefender = spec.prefender.for_load_pcs(program.load_pc_count())
+        if prefender is spec.prefender:
+            return self
+        return replace(
+            self,
+            system=replace(
+                self.system, prefetcher=replace(spec, prefender=prefender)
+            ),
+        )
+
     def run(self) -> SimResult:
+        """Simulate the job, or, inside :func:`shared_runs`, return a copy
+        of the result an earlier job with the same effective key got."""
         program = get_workload(self.workload).program(self.scale)
+        shared = _SHARED_RUNS.get()
+        if shared is None:
+            return self._simulate(program)
+        key = self.effective(program).key()
+        stored = shared.get(key)
+        if stored is not None:
+            return SimResult.from_json(stored)
+        result = self._simulate(program)
+        shared[key] = result.to_json()
+        return result
+
+    def _simulate(self, program: Program) -> SimResult:
         result = run_program(
             program,
             self.system,
@@ -236,6 +273,33 @@ class SimJob:
             sample_interval=self.sample_interval,
         )
         return SimResult.from_run(result)
+
+
+#: The open share table of :func:`shared_runs`: each effective key's
+#: result (as ``SimResult.to_json``), or ``None`` outside one.  A context
+#: variable, not an argument, because every caller of ``SimJob.run`` (the
+#: executor, a pool worker, code that wraps the method) calls it bare.
+_SHARED_RUNS: ContextVar[dict[str, dict[str, Any]] | None] = ContextVar(
+    "shared_runs", default=None
+)
+
+
+@contextmanager
+def shared_runs() -> Iterator[None]:
+    """Share results between the :class:`SimJob` runs made inside.
+
+    The first job of each effective key (:meth:`SimJob.effective`) is
+    simulated with its own config; each later one gets an equal but
+    separate :class:`SimResult`.  Every job still makes its own
+    :meth:`SimJob.run` call.  The table is dropped on exit, so nothing is
+    shared between two blocks, and runs outside a block (in a worker
+    process, say) simulate every job.
+    """
+    token = _SHARED_RUNS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_RUNS.reset(token)
 
 
 @dataclass

@@ -26,6 +26,7 @@ from repro.analysis import (
     taint,
 )
 from repro.analysis.report import BuildFailure, ProgramReport, build_report
+from repro.attacks import base as attacks_base
 from repro.isa import ProgramBuilder, assemble
 from repro.runner import ATTACK_KINDS
 from repro.workloads import base as workloads_base
@@ -60,8 +61,9 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def _analyze(*argv):
-    # A workload program cached by an earlier test would skip its build.
+    # A program cached by an earlier test would skip its build.
     workloads_base._build.cache_clear()
+    attacks_base._programs.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         return main(["analyze", *argv])
 
@@ -102,13 +104,24 @@ def test_builtin_taint_builds_and_resolves_each_program_once(monkeypatch):
     assert len(walks) == 34
 
 
-def test_builtin_taint_timing_certify_builds_75_cfgs(monkeypatch):
+def test_builtin_certify_builds_each_program_once(monkeypatch):
+    builds = _count_calls(monkeypatch, ProgramBuilder, "build")
+    assert _analyze("--builtin", "--certify") == 0
+    # The 34 analysed programs and the certifier's 21, of which the three
+    # Flush+Reload victim scenarios are the report's own: the certifier
+    # reads them from the attack program memo.  Building them again made
+    # 55 builds of 52 distinct programs.
+    assert len(builds) == 52
+
+
+def test_builtin_taint_timing_certify_builds_72_cfgs(monkeypatch):
     cfgs = _count_calls(monkeypatch, cfg, "build_cfg")
     assert _analyze("--builtin", "--taint", "--timing", "--certify") == 0
     # 34 analysed programs, one leak-map CFG per victim (5), the
-    # certifier's 21 strict builds and its 15 havoc unions.  A CFG per
-    # leak map and per secret walk made 457.
-    assert len(cfgs) == 75
+    # certifier's 18 strict builds the report did not make and its 15
+    # havoc unions.  Rebuilding the three Flush+Reload victim scenarios
+    # made 75; a CFG per leak map and per secret walk made 457.
+    assert len(cfgs) == 72
 
 
 def test_analyze_program_resolves_constant_addresses_once(monkeypatch):

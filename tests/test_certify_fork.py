@@ -34,6 +34,7 @@ from repro.analysis.timing import (
     _Unresolved,
     _WalkState,
 )
+from repro.attacks.base import _programs
 from repro.attacks.scenarios import DEFAULT_ATTACKS, DEFAULT_VICTIMS
 from repro.cpu.core import CoreConfig
 from repro.errors import ConfigError
@@ -208,11 +209,17 @@ def test_certify_grid_builds_each_pair_once(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(ProgramBuilder, "build", counting)
+    # The certifier reads the attack program memo, which an earlier test
+    # may have filled.
+    _programs.cache_clear()
     certify_grid(["aes-ttable"], ["flush-reload"], num_secrets=SECRETS)
     assert len(built) == 1
     built.clear()
     certify_grid(["aes-ttable"], ["adversarial-prefetch-a2"], num_secrets=SECRETS)
     assert len(built) == 2
+    built.clear()
+    certify_grid(["aes-ttable"], ["flush-reload"], num_secrets=SECRETS)
+    assert built == []
 
 
 # -- fewer than two distinct secrets ---------------------------------------------

@@ -333,9 +333,10 @@ def _racing_system():
 
 
 def test_three_core_scheduler_matches_linear_scan():
-    """``run`` hands three active cores to ``run_steps``, the per-step
-    min-time scan; it must step them in the order of a naive scan that
-    steps ``min(active, key=time)``, ties to the lower core index."""
+    """``run`` hands three active cores to the per-step min-time scan of
+    ``run_steps`` until one halts, and the last two to ``_run_pair``; it
+    must step them in the order of a naive scan that steps
+    ``min(active, key=time)``, ties to the lower core index."""
     fast, reference = _racing_system(), _racing_system()
     result = fast.run()
     while active := [core for core in reference.cores if not core.halted]:
@@ -343,6 +344,40 @@ def test_three_core_scheduler_matches_linear_scan():
     assert result.core_cycles == [core.time for core in reference.cores]
     assert len(set(result.core_cycles)) == 3, "cores must halt at distinct times"
     assert fast.snapshot() == reference.snapshot()
+
+
+def _loop_beside_halters(halters):
+    """``halters`` cores that halt at once, beside a last core that loops
+    200 times over ``load; store; sub; bne``."""
+    from repro.cpu.system import System
+
+    loop = """
+        li r1, 0x10000
+        li r2, 200
+        top:
+        load r3, 0(r1)
+        store r3, 8(r1)
+        sub r2, r2, 1
+        bne r2, zero, top
+        halt
+    """
+    programs = [assemble("halt") for _ in range(halters)] + [assemble(loop)]
+    return System(programs, MemoryHierarchy(num_cores=halters + 1))
+
+
+@pytest.mark.parametrize("halters", [1, 2])
+def test_the_last_core_of_a_multi_core_run_runs_alone(halters):
+    """Once the other cores halt, the loop runs on lone-core blocks, one
+    scheduler step per iteration, whether it started beside one core or
+    two.  Left in the three-core scan, it took a step per memory op and
+    one per block: 604 steps beside two cores."""
+    from repro.errors import SimulationError
+
+    steps = halters + 201  # each halt, the loop's 200 blocks, its halt
+    result = _loop_beside_halters(halters).run(max_steps=steps)
+    assert result.core_cycles[-1] == 1535
+    with pytest.raises(SimulationError):
+        _loop_beside_halters(halters).run(max_steps=steps - 1)
 
 
 def test_access_buffer_reset_clears_last_touch():

@@ -156,3 +156,46 @@ def test_disruptive_same_set_and_deterministic():
     for i in range(20):
         replay.extend(again.observe(obs(0x100000 + i * 64), never_contains))
     assert [r.addr for r in replay] == [r.addr for r in requests]
+
+
+def _counted_observes(prefetcher):
+    """Record the op of every ``observe`` call ``prefetcher`` gets."""
+    real = prefetcher.observe
+    ops = []
+
+    def observe(observation, l1d_contains):
+        ops.append(observation.op)
+        return real(observation, l1d_contains)
+
+    prefetcher.observe = observe
+    return ops
+
+
+def test_stores_skip_prefetchers_that_ignore_them():
+    from repro.core.prefender import Prefender
+    from repro.mem.hierarchy import MemoryHierarchy
+
+    amap = AddressMap()
+    prefender = Prefender(amap=amap)
+    cases = [
+        (prefender, []),
+        (BITPPrefetcher(), []),
+        (CompositePrefetcher(Prefender(amap=amap), BITPPrefetcher()), []),
+        (TaggedPrefetcher(amap), ["store"]),
+        (StridePrefetcher(amap), ["store"]),
+        (DisruptivePrefetcher(amap), ["store"]),
+        (
+            CompositePrefetcher(Prefender(amap=amap), TaggedPrefetcher(amap)),
+            ["store"],
+        ),
+    ]
+    for prefetcher, store_ops in cases:
+        hierarchy = MemoryHierarchy(num_cores=1, amap=amap)
+        hierarchy.attach_prefetcher(0, prefetcher)
+        ops = _counted_observes(prefetcher)
+        hierarchy.store(0, 0x1000, 7, now=0, pc=0x400000)
+        assert ops == store_ops, prefetcher.name
+        hierarchy.load(0, 0x2000, now=10, pc=0x400004)
+        assert ops == store_ops + ["load"], prefetcher.name
+    assert prefender.access_tracker.buffer_for_pc(0x400000) is None
+    assert prefender.access_tracker.buffer_for_pc(0x400004) is not None
