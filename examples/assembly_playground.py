@@ -8,7 +8,7 @@ turns that into decoy prefetches.
 """
 
 from repro import PrefenderConfig, PrefetcherSpec, SystemConfig, assemble
-from repro.sim.simulator import run_program
+from repro.sim.simulator import build_system
 
 SOURCE = """
 .name victim_demo
@@ -35,10 +35,13 @@ def main() -> None:
             kind="prefender", prefender=PrefenderConfig.st_only()
         )
     )
-    result = run_program(program, config)
+    system = build_system([program], config)
+    trace: list[tuple[int, str, int]] = []
+    system.hierarchy.attach_trace(0, trace)
+    result = system.run()
     counts = result.prefetch_counts[0]
     print(f"Scale Tracker prefetches issued: {counts.get('st', 0)}")
-    for _, component, block in result.prefetch_timelines[0]:
+    for _, component, block in trace:
         index = (block - 0x02000000) // 0x200
         print(f"  {component}: line of array index {index} (block {block:#x})")
     print("\nThe victim accessed index 12; the decoys sit at 11 and 13 —")

@@ -244,17 +244,18 @@ def _entries(
     maps = None
     if carrier is not None and leak_maps_of is not None:
         maps = leak_maps_of(carrier)
+    analyses = [p.analysis or analyze_program(p) for p in programs]
     return [
         ProgramReport(
             program,
             source,
-            program.analysis or analyze_program(program),
+            analysis,
             maps if program.taint_sources else None,
-            secret_trials(program, secrets)
+            secret_trials(program, secrets, taint=analysis.taint)
             if secrets and program.taint_sources
             else None,
         )
-        for program in programs
+        for program, analysis in zip(programs, analyses)
     ]
 
 

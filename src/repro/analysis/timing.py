@@ -832,6 +832,7 @@ def secret_trials(
     core: CoreConfig | None = None,
     *,
     max_steps: int = DEFAULT_WALK_STEPS,
+    taint: TaintAnalysis | None = None,
 ) -> tuple[dict[int, CycleInterval], DistinguisherReport]:
     """Walk ``program`` once per distinct secret; read two answers off it.
 
@@ -852,7 +853,9 @@ def secret_trials(
     (a taint-clean program falls back to the halt state, where a
     constant-time program converges for every secret).  Two secrets with
     different observables mean a shared cache level distinguishes them.
-    It needs two distinct secrets and a non-speculative core.
+    It needs two distinct secrets and a non-speculative core, and reads
+    ``taint``, the program's taint analysis, when given one, else
+    :func:`~repro.analysis.taint.taint_of_program`.
     """
     secret_tuple = tuple(dict.fromkeys(secrets))
     config = core or CoreConfig()
@@ -862,9 +865,11 @@ def secret_trials(
             _distinguisher(secret_tuple, None),
         )
     compare = len(secret_tuple) >= 2
-    observe = frozenset(
-        taint_of_program(program).secret_addressed() if compare else ()
-    )
+    observe: frozenset[int] = frozenset()
+    if compare:
+        if taint is None:
+            taint = taint_of_program(program)
+        observe = frozenset(taint.secret_addressed())
     finish = _fork(
         (program,),
         frozenset(program.taint_sources),

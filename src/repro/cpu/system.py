@@ -32,7 +32,7 @@ A sampled run turns fusion off, so there every step is one instruction
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from repro.cpu.core import Core, CoreConfig
@@ -46,7 +46,11 @@ from repro.snapshot import SNAPSHOT_VERSION, require_keys
 
 @dataclass
 class RunResult:
-    """Everything the experiments need from one simulation run."""
+    """Everything the experiments need from one simulation run.
+
+    JSON round-trippable (:meth:`to_json`, :meth:`from_json`), so the
+    runner's disk store keeps it as it is.
+    """
 
     cycles: int
     instructions: int
@@ -55,7 +59,6 @@ class RunResult:
     l1d_stats: list[dict[str, int | float]]
     l2_stats: dict[str, int | float]
     prefetch_counts: list[dict[str, int]]
-    prefetch_timelines: list[list[tuple[int, str, int]]]
     samples: list[tuple[int, object]] = field(default_factory=list)
     # Per-core PREFENDER-internal counters (allocation_failures, protection
     # lifecycle); empty dicts for cores without a PREFENDER.
@@ -67,6 +70,28 @@ class RunResult:
 
     def total_prefetches(self, core_id: int = 0) -> int:
         return sum(self.prefetch_counts[core_id].values())
+
+    def to_json(self) -> dict[str, Any]:
+        data = asdict(self)
+        data["samples"] = [[step, value] for step, value in self.samples]
+        return data
+
+    @classmethod
+    def from_json(cls, data: dict[str, Any]) -> "RunResult":
+        return cls(
+            cycles=data["cycles"],
+            instructions=data["instructions"],
+            core_cycles=list(data["core_cycles"]),
+            core_instructions=list(data["core_instructions"]),
+            l1d_stats=[dict(stats) for stats in data["l1d_stats"]],
+            l2_stats=dict(data["l2_stats"]),
+            prefetch_counts=[dict(counts) for counts in data["prefetch_counts"]],
+            samples=[(step, value) for step, value in data["samples"]],
+            defense_stats=[
+                {str(key): int(value) for key, value in stats.items()}
+                for stats in data["defense_stats"]
+            ],
+        )
 
 
 class System:
@@ -307,10 +332,6 @@ class System:
             l2_stats=hierarchy.l2.stats.as_dict(),
             prefetch_counts=[
                 hierarchy.prefetch_counts(core_id)
-                for core_id in range(hierarchy.num_cores)
-            ],
-            prefetch_timelines=[
-                hierarchy.prefetch_timeline(core_id)
                 for core_id in range(hierarchy.num_cores)
             ],
             samples=samples,

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from repro.core.config import PrefenderConfig
 from repro.cpu.core import CoreConfig
-from repro.runner import ResultStore, SimJob, SimResult, run_batch
+from repro.cpu.system import RunResult
+from repro.runner import ResultStore, SimJob, run_batch
 from repro.sim.config import PrefetcherSpec, SystemConfig
 
 PERF_CORE = CoreConfig(load_hide_cycles=110)
@@ -81,11 +82,11 @@ def sim_job(
 # In-process memo over the runner, shared by every experiment in a process.
 # Bounded (FIFO eviction) so long sweep sessions don't grow without limit.
 _MEMO_CAP = 4096
-_RESULTS: dict[str, SimResult] = {}
+_RESULTS: dict[str, RunResult] = {}
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
 
-def _remember(key: str, result: SimResult) -> None:
+def _remember(key: str, result: RunResult) -> None:
     if key not in _RESULTS and len(_RESULTS) >= _MEMO_CAP:
         _RESULTS.pop(next(iter(_RESULTS)))
     _RESULTS[key] = result
@@ -93,11 +94,11 @@ def _remember(key: str, result: SimResult) -> None:
 
 def batch_results(
     jobs: list[SimJob], workers: int = 1, store: ResultStore | None = None
-) -> list[SimResult]:
+) -> list[RunResult]:
     """Run a job grid through the memo + runner; results in input order."""
     keys = [job.key() for job in jobs]
     # Local overlay so the batch's own results survive memo eviction.
-    gathered: dict[str, SimResult | None] = {}
+    gathered: dict[str, RunResult | None] = {}
     missing: list[SimJob] = []
     missing_keys: list[str] = []
     for key, job in zip(keys, jobs):

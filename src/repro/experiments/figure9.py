@@ -5,8 +5,10 @@ burst (phase 2), AT a large burst through phase 3.  Panels (d-f): full
 PREFENDER under C1+C2+C3+C4 — RP-guided prefetches dominate phase 3.
 Times are reported in microseconds at the paper's 2GHz clock.
 
-The prefetch timelines live only in the full ``RunResult``, which no
-runner job returns, so each attack runs directly here.
+Only this figure needs the time of each prefetch, so it builds each attack
+itself and attaches a trace to the attacker's core
+(:meth:`~repro.mem.hierarchy.MemoryHierarchy.attach_trace`) before
+running it; no other run records one.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ class TimelinePanel:
     totals: dict[str, int]
 
 
-def _binned(timeline: list[tuple[int, str, int]]) -> dict[str, list[tuple[float, int]]]:
+def _binned(trace: list[tuple[int, str, int]]) -> dict[str, list[tuple[float, int]]]:
     series: dict[str, list[tuple[float, int]]] = {}
     counts: dict[str, int] = {}
-    for cycle, component, _blk in timeline:
+    for cycle, component, _blk in trace:
         counts[component] = counts.get(component, 0) + 1
         series.setdefault(component, []).append(
             (cycle / CYCLES_PER_MICROSECOND, counts[component])
@@ -52,14 +54,15 @@ def run(noisy: bool = False) -> list[TimelinePanel]:
     """Panels a-c (``noisy=False``) or d-f (``noisy=True``)."""
     defense = "FULL" if noisy else "ST+AT"
     options = {"noise_c3": True, "noise_c4": True} if noisy else {}
-    system = SystemConfig(prefetcher=security_spec(defense))
-    outcomes = [
-        ATTACK_KINDS[kind](**options).run(system) for kind in ATTACKS.values()
-    ]
+    config = SystemConfig(prefetcher=security_spec(defense))
     panels = []
-    for attack_name, outcome in zip(ATTACKS, outcomes):
-        timeline = outcome.run_result.prefetch_timelines[0]
-        series = _binned(timeline)
+    for attack_name, kind in ATTACKS.items():
+        attack = ATTACK_KINDS[kind](**options)
+        system, resolved = attack.prepare(config)
+        trace: list[tuple[int, str, int]] = []
+        system.hierarchy.attach_trace(0, trace)
+        outcome = attack.classify(system, resolved, system.run())
+        series = _binned(trace)
         totals = {component: points[-1][1] for component, points in series.items()}
         panels.append(
             TimelinePanel(

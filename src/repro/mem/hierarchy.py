@@ -7,8 +7,9 @@ cross-core experiments) over main memory.  The hierarchy owns:
 * clflush-everywhere semantics (x86 ``clflush``),
 * cross-L1 write invalidation (write-invalidate coherence-lite),
 * inclusive back-invalidation on L2 evictions (the hook BITP listens to),
-* prefetcher notification and prefetch issue, with per-component counts and
-  timestamped timelines (Figs. 9 and 11 read these),
+* prefetcher notification and prefetch issue, with per-component counts,
+  and an opt-in per-core trace of each issued prefetch
+  (:meth:`MemoryHierarchy.attach_trace`; Fig. 9 reads one),
 * a software-prefetch path (:meth:`MemoryHierarchy.software_prefetch`) for
   the ``prefetch``/``prefetchw`` instructions: non-faulting, never notifies
   the prefetchers (hardware trackers observe demand traffic only), and its
@@ -30,7 +31,7 @@ data side.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import SnapshotError
@@ -61,10 +62,14 @@ class HierarchyConfig:
     mshr_entries: int = 4
     mshr_max_merges: int = 20
     nonblocking_stores: bool = True
-    record_timelines: bool = True
     # Extra cycles a prefetchw pays when another core's L1 held the line
     # (the cross-core invalidation round-trip of the ownership upgrade).
     prefetchw_snoop_latency: int = 20
+
+
+#: One core's prefetch trace: ``(cycle, component, block address)`` for
+#: each prefetch it issued (:meth:`MemoryHierarchy.attach_trace`).
+PrefetchTrace = list[tuple[int, str, int]]
 
 
 @dataclass(slots=True)
@@ -78,12 +83,6 @@ class AccessOutcome:
     value: int
     latency: int
     level: str  # "L1D", "L2", "MEM", "INFLIGHT", "MSHR"
-
-
-@dataclass(slots=True)
-class _PrefetchLog:
-    counts: dict[str, int] = field(default_factory=dict)
-    timeline: list[tuple[int, str, int]] = field(default_factory=list)
 
 
 class MemoryHierarchy:
@@ -100,7 +99,8 @@ class MemoryHierarchy:
         "_prefetchers",
         "_active",
         "_store_active",
-        "_logs",
+        "_prefetch_counts",
+        "_traces",
         "_exclusive",
         "ownership_steals",
         "_block_mask",
@@ -152,7 +152,10 @@ class MemoryHierarchy:
         self._active: list[Prefetcher | None] = [None] * num_cores
         # The same for stores, also None when the prefetcher ignores them.
         self._store_active: list[Prefetcher | None] = [None] * num_cores
-        self._logs = [_PrefetchLog() for _ in range(num_cores)]
+        # Per-core issued prefetch counts by component, and the traces
+        # attach_trace installs (None records nothing).
+        self._prefetch_counts: list[dict[str, int]] = [{} for _ in self.l1ds]
+        self._traces: list[PrefetchTrace | None] = [None] * num_cores
         # block address -> core id holding the line exclusively (prefetchw).
         self._exclusive: dict[int, int] = {}
         self.ownership_steals = 0
@@ -175,28 +178,34 @@ class MemoryHierarchy:
     def prefetcher_for(self, core_id: int) -> Prefetcher | None:
         return self._prefetchers.get(core_id)
 
+    def attach_trace(self, core_id: int, trace: PrefetchTrace) -> None:
+        """Append ``(cycle, component, block address)`` to ``trace`` for
+        each prefetch core ``core_id`` issues from now on.  A core with no
+        trace attached records nothing.
+
+        The trace is an observer, not simulator state: :meth:`snapshot`
+        does not copy it and :meth:`restore` does not rewind it.
+        """
+        self._traces[core_id] = trace  # lint: allow SNAP501
+
     def prefetch_counts(self, core_id: int) -> dict[str, int]:
         """Issued prefetch counts by component for one core."""
-        return dict(self._logs[core_id].counts)
-
-    def prefetch_timeline(self, core_id: int) -> list[tuple[int, str, int]]:
-        """(cycle, component, block address) tuples for issued prefetches."""
-        return list(self._logs[core_id].timeline)
+        return dict(self._prefetch_counts[core_id])
 
     def total_prefetch_counts(self) -> dict[str, int]:
         """Issued prefetch counts by component summed over all cores."""
         totals: dict[str, int] = {}
-        for log in self._logs:
-            for component, count in log.counts.items():
+        for counts in self._prefetch_counts:
+            for component, count in counts.items():
                 totals[component] = totals.get(component, 0) + count
         return totals
 
     def _issue_requests(
         self, core_id: int, now: int, requests: list[PrefetchRequest]
-    ) -> int:
-        issued = 0
+    ) -> None:
         l1d = self.l1ds[core_id]
-        log = self._logs[core_id]
+        counts = self._prefetch_counts[core_id]
+        trace = self._traces[core_id]
         for request in requests:
             addr = request.addr
             component = request.component
@@ -207,11 +216,9 @@ class MemoryHierarchy:
             # other core's exclusive (prefetchw-held) copy of the line.
             if self._exclusive:
                 self._yield_exclusivity(core_id, addr & self._block_mask)
-            issued += 1
-            log.counts[component] = log.counts.get(component, 0) + 1
-            if self.config.record_timelines:
-                log.timeline.append((now, component, addr & self._block_mask))
-        return issued
+            counts[component] = counts.get(component, 0) + 1
+            if trace is not None:
+                trace.append((now, component, addr & self._block_mask))
 
     # -- demand interface ----------------------------------------------------
 
@@ -360,18 +367,19 @@ class MemoryHierarchy:
     # -- snapshot/restore ------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """All mutable hierarchy state: caches, memory, logs, ownership.
+        """All mutable hierarchy state: caches, memory, prefetch counts,
+        ownership.
 
         Prefetchers are per-core state *attached to* the hierarchy, so they
         snapshot here too (``None`` for cores with no prefetcher attached).
+        Attached traces are observers and stay out of it.
         """
         return {
             "memory": self.memory.snapshot(),
             "l2": self.l2.snapshot(),
             "l1ds": tuple(l1d.snapshot() for l1d in self.l1ds),
             "logs": tuple(
-                (tuple(log.counts.items()), tuple(log.timeline))
-                for log in self._logs
+                tuple(counts.items()) for counts in self._prefetch_counts
             ),
             "exclusive": tuple(self._exclusive.items()),
             "ownership_steals": self.ownership_steals,
@@ -401,9 +409,9 @@ class MemoryHierarchy:
         self.l2.restore(data["l2"])
         for l1d, snap in zip(self.l1ds, data["l1ds"]):
             l1d.restore(snap)
-        for log, (counts, timeline) in zip(self._logs, data["logs"]):
-            log.counts = dict(counts)
-            log.timeline = list(timeline)
+        for counts, snap in zip(self._prefetch_counts, data["logs"]):
+            counts.clear()
+            counts.update(snap)
         self._exclusive = dict(data["exclusive"])
         self.ownership_steals = data["ownership_steals"]
         for core_id, snap in enumerate(data["prefetchers"]):

@@ -24,6 +24,7 @@ of being respawned per batch:
         second = run_batch(jobs_b, pool=pool)  # same warm workers
 """
 
+from repro.cpu.system import RunResult
 from repro.runner.executor import run_batch
 from repro.runner.job import (
     ADVERSARIAL_PREFETCH_FAMILY,
@@ -33,12 +34,14 @@ from repro.runner.job import (
     ScenarioJob,
     ScenarioProbe,
     SimJob,
-    SimResult,
     fingerprint,
     job_key,
 )
 from repro.runner.pool import WorkerPool, default_workers
 from repro.runner.store import DEFAULT_CACHE_DIR, ResultStore
+
+#: The old name of a SimJob's result; only perfbench/grids.py still uses it.
+SimResult = RunResult
 
 __all__ = [
     "ADVERSARIAL_PREFETCH_FAMILY",

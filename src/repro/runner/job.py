@@ -13,10 +13,10 @@ of it again (``tests/test_runner.py`` asserts this field-by-field).
 Two job kinds cover everything the experiments run:
 
 * :class:`SimJob` — one workload program on one system config
-  (:func:`repro.sim.simulator.run_program`); returns a JSON-serialisable
-  :class:`SimResult`, so results can live in the on-disk store.  Inside
-  :func:`shared_runs` (an inline batch), jobs whose effective keys match
-  share one simulation.
+  (:func:`repro.sim.simulator.run_program`); returns the run's
+  :class:`~repro.cpu.system.RunResult`, which is JSON round-trippable, so
+  results can live in the on-disk store.  Inside :func:`shared_runs` (an
+  inline batch), jobs whose effective keys match share one simulation.
 * :class:`ScenarioJob` — one attack (by registry name) against one victim
   under one system config, for one secret.  The paper's own victim is the
   ``direct`` one, a single access at index ``secret``; the crypto victims
@@ -27,8 +27,9 @@ Two job kinds cover everything the experiments run:
   the leakage scorer can estimate mutual information.  JSON-able and
   disk-cacheable, so repeated security grids are served warm.
 
-The few callers that need a run's full ``RunResult`` (Fig. 9's prefetch
-timelines) run the attack class directly instead of through a job.
+A caller that wants a run's prefetch trace (Fig. 9) builds the system
+itself and attaches one (:meth:`MemoryHierarchy.attach_trace
+<repro.mem.hierarchy.MemoryHierarchy.attach_trace>`); no job records one.
 """
 
 from __future__ import annotations
@@ -63,8 +64,11 @@ from repro.workloads import get_workload
 #: invalidates every on-disk store entry at once.
 #: v2: Record Protector idle-expiry sweep, MSHR demand-priority prefetch
 #: squash and Baer–Chen stride confidence gating all shift cycle counts;
-#: SimResult additionally grew ``defense_stats``.
-KEY_VERSION = 2
+#: the run result additionally grew ``defense_stats``.
+#: v3: ``HierarchyConfig`` lost the switch of the always-on prefetch
+#: timeline, which moves every key, and a ``SimJob`` stores its
+#: ``RunResult`` itself.
+KEY_VERSION = 3
 
 #: Attack registry names (shared with the CLI's ``attack`` command).
 ATTACK_KINDS = {
@@ -146,73 +150,19 @@ def job_key(job: object) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class SimResult:
-    """JSON-serialisable summary of one simulation run.
-
-    Everything the performance tables and figures read; prefetch timelines
-    are deliberately excluded (they are large, and the only consumer —
-    Fig. 9 — runs its attacks directly for the full ``RunResult``).
-    """
-
-    cycles: int
-    instructions: int
-    core_cycles: list[int]
-    core_instructions: list[int]
-    l1d_stats: list[dict[str, int]]
-    l2_stats: dict[str, int]
-    prefetch_counts: list[dict[str, int]]
-    samples: list[tuple[int, int]] = field(default_factory=list)
-    defense_stats: list[dict[str, int]] = field(default_factory=list)
-
-    @classmethod
-    def from_run(cls, result: RunResult) -> "SimResult":
-        return cls(
-            cycles=result.cycles,
-            instructions=result.instructions,
-            core_cycles=list(result.core_cycles),
-            core_instructions=list(result.core_instructions),
-            l1d_stats=[dict(stats) for stats in result.l1d_stats],
-            l2_stats=dict(result.l2_stats),
-            prefetch_counts=[dict(counts) for counts in result.prefetch_counts],
-            samples=[(int(step), int(value)) for step, value in result.samples],
-            defense_stats=[dict(stats) for stats in result.defense_stats],
-        )
-
-    def to_json(self) -> dict[str, Any]:
-        data = dataclasses.asdict(self)
-        data["samples"] = [[step, value] for step, value in self.samples]
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "SimResult":
-        return cls(
-            cycles=data["cycles"],
-            instructions=data["instructions"],
-            core_cycles=list(data["core_cycles"]),
-            core_instructions=list(data["core_instructions"]),
-            l1d_stats=[dict(stats) for stats in data["l1d_stats"]],
-            l2_stats=dict(data["l2_stats"]),
-            prefetch_counts=[dict(counts) for counts in data["prefetch_counts"]],
-            samples=[(step, value) for step, value in data["samples"]],
-            defense_stats=[
-                {str(key): int(value) for key, value in stats.items()}
-                for stats in data.get("defense_stats", [])
-            ],
-        )
-
-
 @dataclass(frozen=True)
 class SimJob:
     """One workload program on one fully specified system configuration.
+
+    :meth:`run` returns the run's :class:`~repro.cpu.system.RunResult`.
 
     Attributes:
         workload: registry name from :mod:`repro.workloads`.
         scale: loop-count multiplier (> 0); 1.0 is the paper's size.
         system: the full :class:`~repro.sim.config.SystemConfig` — every
             field participates in :meth:`key`.
-        sample_interval: record ``(step, cycles)`` samples every N steps
-            (``None`` disables sampling; figures 10/12 use it).
+        sample_interval: record ``(step, protected buffer count)`` samples
+            every N steps (``None`` disables sampling; figure 12 uses it).
         max_steps: simulation step budget (guards runaway programs).
     """
 
@@ -222,7 +172,7 @@ class SimJob:
     sample_interval: int | None = None
     max_steps: int = 20_000_000
 
-    #: SimResults are JSON round-trippable, so the disk store may keep them.
+    #: RunResults are JSON round-trippable, so the disk store may keep them.
     cacheable = True
 
     def __post_init__(self) -> None:
@@ -250,7 +200,7 @@ class SimJob:
             ),
         )
 
-    def run(self) -> SimResult:
+    def run(self) -> RunResult:
         """Simulate the job, or, inside :func:`shared_runs`, return a copy
         of the result an earlier job with the same effective key got."""
         program = get_workload(self.workload).program(self.scale)
@@ -260,23 +210,22 @@ class SimJob:
         key = self.effective(program).key()
         stored = shared.get(key)
         if stored is not None:
-            return SimResult.from_json(stored)
+            return RunResult.from_json(stored)
         result = self._simulate(program)
         shared[key] = result.to_json()
         return result
 
-    def _simulate(self, program: Program) -> SimResult:
-        result = run_program(
+    def _simulate(self, program: Program) -> RunResult:
+        return run_program(
             program,
             self.system,
             max_steps=self.max_steps,
             sample_interval=self.sample_interval,
         )
-        return SimResult.from_run(result)
 
 
 #: The open share table of :func:`shared_runs`: each effective key's
-#: result (as ``SimResult.to_json``), or ``None`` outside one.  A context
+#: result (as ``RunResult.to_json``), or ``None`` outside one.  A context
 #: variable, not an argument, because every caller of ``SimJob.run`` (the
 #: executor, a pool worker, code that wraps the method) calls it bare.
 _SHARED_RUNS: ContextVar[dict[str, dict[str, Any]] | None] = ContextVar(
@@ -290,10 +239,10 @@ def shared_runs() -> Iterator[None]:
 
     The first job of each effective key (:meth:`SimJob.effective`) is
     simulated with its own config; each later one gets an equal but
-    separate :class:`SimResult`.  Every job still makes its own
-    :meth:`SimJob.run` call.  The table is dropped on exit, so nothing is
-    shared between two blocks, and runs outside a block (in a worker
-    process, say) simulate every job.
+    separate :class:`~repro.cpu.system.RunResult`.  Every job still makes
+    its own :meth:`SimJob.run` call.  The table is dropped on exit, so
+    nothing is shared between two blocks, and runs outside a block (in a
+    worker process, say) simulate every job.
     """
     token = _SHARED_RUNS.set({})
     try:

@@ -2,7 +2,7 @@
 
 One file per job key under ``benchmarks/results/cache/`` (or any directory
 you point a :class:`ResultStore` at).  Each file records the key-schema
-version, the result's type (``SimResult`` for a :class:`SimJob`,
+version, the result's type (``RunResult`` for a :class:`SimJob`,
 ``ScenarioProbe`` for every attack run), the job's full fingerprint (so a
 human can see exactly which configuration produced it) and the result
 payload.  A version bump, an unreadable file, a key mismatch or an unknown
@@ -25,16 +25,16 @@ import threading
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.runner.job import KEY_VERSION, ScenarioProbe, SimResult, fingerprint
+from repro.cpu.system import RunResult
+from repro.runner.job import KEY_VERSION, ScenarioProbe, fingerprint
 
 #: CLI default, relative to the invocation directory (documented in
 #: ``python -m repro --help``); benchmarks/conftest.py creates it.
 DEFAULT_CACHE_DIR = pathlib.Path("benchmarks") / "results" / "cache"
 
 #: Result payload types the store can round-trip, keyed by the
-#: ``result_kind`` field written into each entry.  Entries from before the
-#: field existed are all SimResults, hence the lookup default in ``get``.
-RESULT_TYPES = {"SimResult": SimResult, "ScenarioProbe": ScenarioProbe}
+#: ``result_kind`` field written into each entry.
+RESULT_TYPES = {"RunResult": RunResult, "ScenarioProbe": ScenarioProbe}
 
 
 class ResultStore:
@@ -81,7 +81,7 @@ class ResultStore:
         if data.get("version") != KEY_VERSION or data.get("key") != key:
             self.misses += 1
             return None
-        result_cls = RESULT_TYPES.get(data.get("result_kind", "SimResult"))
+        result_cls = RESULT_TYPES.get(data.get("result_kind"))
         if result_cls is None:
             self.misses += 1
             return None

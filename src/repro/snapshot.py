@@ -31,8 +31,10 @@ from repro.errors import SnapshotError
 
 __all__ = ["SNAPSHOT_VERSION", "require_keys"]
 
-# Bump whenever any component's snapshot layout changes shape.
-SNAPSHOT_VERSION = 2
+# Bump whenever any component's snapshot layout changes shape.  v3: the
+# hierarchy's "logs" hold only the per-core prefetch counts; a prefetch
+# trace (MemoryHierarchy.attach_trace) is never part of a snapshot.
+SNAPSHOT_VERSION = 3
 
 
 def require_keys(data: dict, expected: Iterable[str], what: str) -> None:

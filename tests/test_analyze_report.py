@@ -140,7 +140,24 @@ def test_secret_trials_reads_a_strict_builds_taint(monkeypatch):
     taints = _count_calls(monkeypatch, taint, "taint_analysis")
     secret_trials(strict, (0, 1))
     assert taints == []
-    secret_trials(_secret_program(), (0, 1))
+    program = _secret_program()
+    secret_trials(program, (0, 1))
+    assert len(taints) == 1
+    # Handed an analysis, it runs no taint pass of its own.
+    secret_trials(program, (0, 1), taint=analyze_program(program).taint)
+    assert len(taints) == 2
+
+
+def test_timing_report_analyses_an_asm_files_taint_once(monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    taints = _count_calls(monkeypatch, taint, "taint_analysis")
+    report = build_report(
+        FIXTURES[2:], builtin=False, taint=True, timing=True, certify=False
+    )
+    (secret,) = report.entries
+    assert secret.trials is not None
+    # The report's analysis, which secret_trials reads too.  An assembled
+    # program caches no analysis, so secret_trials ran a second pass.
     assert len(taints) == 1
 
 

@@ -22,8 +22,10 @@ Three systems run each draw:
   least local time (``min`` keeps the lower index on ties) and uses no
   scheduler of ``System``.
 
-All three must agree on every core's time, on the ``RunResult`` and, by
-``tools.state_diff.diff_systems``, on every field of the final state.
+All three must agree on every core's time, on the ``RunResult``, on every
+core's prefetch trace (each issued prefetch's cycle, component and block)
+and, by ``tools.state_diff.diff_systems``, on every field of the final
+state.
 Because ``rdcycle`` feeds branches, a block that is off by one cycle
 usually changes control flow as well.
 """
@@ -276,6 +278,12 @@ def test_blocks_match_the_per_instruction_path(data):
     blocks = build_system(programs, config)
     interpreted = build_system(programs, twin)
     stepped = build_system(programs, twin)
+    traces = []
+    for system in (blocks, interpreted, stepped):
+        per_core = [[] for _ in range(cores)]
+        for core_id, trace in enumerate(per_core):
+            system.hierarchy.attach_trace(core_id, trace)
+        traces.append(per_core)
     result = blocks.run(max_steps=MAX_STEPS)
     reference = interpreted.run(max_steps=MAX_STEPS)
     for _ in range(MAX_STEPS):
@@ -290,6 +298,7 @@ def test_blocks_match_the_per_instruction_path(data):
     assert times == [core.time for core in stepped.cores]
     assert result == reference
     assert stepped.run() == reference  # every core halted: just the result
+    assert traces[0] == traces[1] == traces[2]
     assert diff_systems(blocks, interpreted) == []
     assert diff_systems(blocks, stepped) == []
 

@@ -91,6 +91,8 @@ class _RecordingPrefetcher(Prefetcher):
 def test_prefetcher_notification_and_issue(hierarchy):
     prefetcher = _RecordingPrefetcher()
     hierarchy.attach_prefetcher(0, prefetcher)
+    trace = []
+    hierarchy.attach_trace(0, trace)
     hierarchy.load(0, 0x5000, now=0, pc=0x400000, scale=512)
     assert len(prefetcher.observations) == 1
     observation = prefetcher.observations[0]
@@ -99,8 +101,51 @@ def test_prefetcher_notification_and_issue(hierarchy):
     assert observation.op == "load"
     assert hierarchy.l1_contains(0, 0x5040)
     assert hierarchy.prefetch_counts(0) == {"x": 1}
-    timeline = hierarchy.prefetch_timeline(0)
-    assert timeline == [(0, "x", 0x5040)]
+    assert trace == [(0, "x", 0x5040)]
+
+
+def test_only_a_core_with_a_trace_records_one(hierarchy):
+    """Traces are per core and off by default: core 0's prefetch is
+    counted but reaches no trace."""
+    hierarchy.attach_prefetcher(0, _RecordingPrefetcher())
+    hierarchy.attach_prefetcher(1, _RecordingPrefetcher())
+    trace = []
+    hierarchy.attach_trace(1, trace)
+    hierarchy.load(0, 0x7000, now=0)
+    hierarchy.load(1, 0x8000, now=10)
+    assert hierarchy.total_prefetch_counts() == {"x": 2}
+    assert trace == [(10, "x", 0x8040)]
+
+
+def _nested(value):
+    """``value`` and every container nested in it."""
+    yield value
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _nested(item)
+
+
+def test_a_trace_is_not_snapshot_state(hierarchy):
+    """A snapshot holds the counts but no trace entry, and a restore
+    rewinds the counts but leaves the attached trace as it was, still
+    recording."""
+    hierarchy.attach_prefetcher(0, _RecordingPrefetcher())
+    trace = []
+    hierarchy.attach_trace(0, trace)
+    hierarchy.load(0, 0x5000, now=0)
+    snap = hierarchy.snapshot()
+    assert snap["logs"] == ((("x", 1),), ())
+    assert (0, "x", 0x5040) not in list(_nested(snap))
+    hierarchy.load(0, 0x6000, now=100)
+    recorded = [(0, "x", 0x5040), (100, "x", 0x6040)]
+    assert trace == recorded
+    hierarchy.restore(snap)
+    assert hierarchy.prefetch_counts(0) == {"x": 1}
+    assert trace == recorded
+    hierarchy.load(0, 0x6000, now=200)
+    assert trace == recorded + [(200, "x", 0x6040)]
 
 
 def test_prefetch_fills_l2_too(hierarchy):

@@ -9,7 +9,6 @@ memo never hands one workload's or one scale's build to another.
 import dataclasses
 
 from repro.experiments import common, table4
-from repro.runner import SimResult
 from repro.sim.simulator import run_program
 from repro.workloads import get_workload
 
@@ -30,8 +29,8 @@ def test_one_program_runs_every_table4_column_like_a_fresh_build():
     assert len(COLUMNS) == 12
     for header, spec in COLUMNS:
         config = common.perf_config(spec)
-        got = SimResult.from_run(run_program(shared, config))
-        fresh = SimResult.from_run(run_program(workload.builder(SCALE), config))
+        got = run_program(shared, config)
+        fresh = run_program(workload.builder(SCALE), config)
         assert got == fresh, header
     assert _contents(shared) == before
     assert workload.program(SCALE) is shared

@@ -20,6 +20,7 @@ from repro.attacks.replay import replay_group_key
 from repro.attacks.scenarios import DEFAULT_ATTACKS, DEFAULT_VICTIMS, build_grid
 from repro.core.config import PrefenderConfig
 from repro.cpu.core import CoreConfig
+from repro.cpu.system import RunResult
 from repro.errors import ConfigError
 from repro.experiments import common, table4
 from repro.mem.hierarchy import HierarchyConfig
@@ -28,7 +29,6 @@ from repro.runner import (
     ResultStore,
     ScenarioJob,
     SimJob,
-    SimResult,
     executor,
     fingerprint,
     job_key,
@@ -113,9 +113,10 @@ def test_job_key_covers_every_config_field():
 #: sha256 over the newline-joined keys of the 1,440-trial security grid
 #: (``build_grid(DEFAULT_VICTIMS, DEFAULT_ATTACKS, common.DEFENSES, 16)``),
 #: in build order, and over its 90 distinct replay-group keys, in first-seen
-#: order.
-GRID_JOB_KEYS_SHA256 = "9e7a802a4e965c529caad4a5426d4b2a7ee91af52da26d036e7cfb4797f61168"
-GRID_GROUP_KEYS_SHA256 = "7a0faf4b1599cd187a7edbce38df3b1500ae4b0a28e728ba61d9bb5b09e13734"
+#: order.  Re-pinned for ``KEY_VERSION`` 3, whose only key change is the
+#: hierarchy config field it dropped.
+GRID_JOB_KEYS_SHA256 = "69e3273b92b47c580a16572739e9e4270f06c161e9774564e5fba34c2ee9542c"
+GRID_GROUP_KEYS_SHA256 = "ddaac532b38df6d0d24f9f69940ff234627038d88a08f597115aedc67bca8cd9"
 
 
 def _digest(keys):
@@ -124,7 +125,7 @@ def _digest(keys):
 
 def test_security_grid_keys_do_not_move():
     """Caching a config's fingerprint must not move a single key: every
-    stored probe stays reachable under ``KEY_VERSION`` 2."""
+    stored probe stays reachable under ``KEY_VERSION`` 3."""
     _, jobs = build_grid(DEFAULT_VICTIMS, DEFAULT_ATTACKS, common.DEFENSES, 16)
     keys = [job.key() for job in jobs]
     groups = list(dict.fromkeys(replay_group_key(job) for job in jobs))
@@ -133,7 +134,7 @@ def test_security_grid_keys_do_not_move():
     assert _digest(groups) == GRID_GROUP_KEYS_SHA256
     # A second round reads every config's cached projection.
     assert [job.key() for job in jobs] == keys
-    assert KEY_VERSION == 2
+    assert KEY_VERSION == 3
 
 
 @pytest.mark.parametrize("first, second", [(1, True), (True, 1)])
@@ -156,8 +157,8 @@ def test_config_fingerprint_cache_follows_identity(first, second):
 
 #: sha256 over the newline-joined keys of Table IV's 144 jobs at scale 0.5
 #: (``SPEC2006_NAMES`` x ``[BASELINE_SPEC, *table4._columns(with_rp=False)]``),
-#: in ``grid_improvements`` submission order.
-TABLE4_JOB_KEYS_SHA256 = "1999c57cfa6102d3d4749e005dfb7f0adf536fc687fa2847443e45bae53e9ee9"
+#: in ``grid_improvements`` submission order (``KEY_VERSION`` 3).
+TABLE4_JOB_KEYS_SHA256 = "61be5e7b2b0acc2fd3a86853392f598c7cfc4039a6304bd11801f792b1521523"
 
 
 def test_grid_improvements_shares_one_config_per_column(monkeypatch):
@@ -341,7 +342,7 @@ def test_store_roundtrip_and_invalidation(tmp_path):
 
 
 def _filler_results(tmp_path):
-    """One real SimResult + its on-disk entry size, for synthetic store tests."""
+    """One real RunResult + its on-disk entry size, for synthetic store tests."""
     probe = ResultStore(tmp_path / "probe")
     job = common.sim_job("999.specrand", PrefetcherSpec(kind="none"), 0.05)
     (result,) = run_batch([job], store=probe)
@@ -420,8 +421,8 @@ def test_store_roundtrips_attack_probes(tmp_path):
 
 
 def test_store_result_kind_dispatch(tmp_path):
-    """Entries missing result_kind stay readable (pre-eviction files were
-    all SimResults); unknown kinds degrade to a miss."""
+    """A SimJob's entry names its result ``RunResult`` and reads back as
+    one; an entry with no result_kind or an unknown one is a miss."""
     import json
 
     store = ResultStore(tmp_path)
@@ -429,12 +430,13 @@ def test_store_result_kind_dispatch(tmp_path):
     (result,) = run_batch([job], store=store)
     path = tmp_path / f"{job.key()}.json"
     data = json.loads(path.read_text())
-    assert data["result_kind"] == "SimResult"
+    assert data["result_kind"] == "RunResult"
+    assert ResultStore(tmp_path).get(job.key()) == result
 
     del data["result_kind"]
     path.write_text(json.dumps(data))
-    legacy = ResultStore(tmp_path)
-    assert legacy.get(job.key()) is not None
+    unnamed = ResultStore(tmp_path)
+    assert unnamed.get(job.key()) is None and unnamed.misses == 1
 
     data["result_kind"] = "Bogus"
     path.write_text(json.dumps(data))
@@ -445,7 +447,7 @@ def test_store_result_kind_dispatch(tmp_path):
 def _put_repeatedly(root: str, key: str, writer: int, puts: int) -> None:
     """One writer process of the shared-key race test."""
     store = ResultStore(root)
-    result = SimResult(
+    result = RunResult(
         cycles=writer,
         instructions=1,
         core_cycles=[writer],
@@ -500,7 +502,7 @@ def test_sim_result_json_roundtrip():
     job = SimJob(workload="999.specrand", scale=0.05, sample_interval=50)
     result = job.run()
     assert result.samples, "sampling interval must record samples"
-    again = SimResult.from_json(result.to_json())
+    again = RunResult.from_json(result.to_json())
     assert dataclasses.asdict(again) == dataclasses.asdict(result)
 
 
@@ -522,7 +524,7 @@ def test_sim_result_exports_defense_stats():
         "protected_buffers",
     ):
         assert key in stats, key
-    again = SimResult.from_json(result.to_json())
+    again = RunResult.from_json(result.to_json())
     assert again.defense_stats == result.defense_stats
     # Baseline runs carry an empty per-core dict, not a missing field.
     baseline = SimJob(workload="999.specrand", scale=0.05).run()

@@ -113,7 +113,14 @@ def diff_systems(a: Any, b: Any, limit: int = DEFAULT_LIMIT) -> list[str]:
         _walk(la, lb, f"core[{i}].l1", out, visited, limit)
     _walk(ha.l2, hb.l2, "l2", out, visited, limit)
     _walk(ha.memory, hb.memory, "memory", out, visited, limit)
-    _walk(ha._logs, hb._logs, "prefetch_logs", out, visited, limit)
+    _walk(
+        ha._prefetch_counts,
+        hb._prefetch_counts,
+        "prefetch_counts",
+        out,
+        visited,
+        limit,
+    )
     _walk(ha._exclusive, hb._exclusive, "exclusive", out, visited, limit)
     _walk(
         ha.ownership_steals,
