@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import security_spec
+from repro.mem.hierarchy import PrefetchTrace
 from repro.runner import ATTACK_KINDS
 from repro.sim.config import SystemConfig
 from repro.utils.textplot import ascii_series
@@ -39,7 +40,7 @@ class TimelinePanel:
     totals: dict[str, int]
 
 
-def _binned(trace: list[tuple[int, str, int]]) -> dict[str, list[tuple[float, int]]]:
+def _binned(trace: PrefetchTrace) -> dict[str, list[tuple[float, int]]]:
     series: dict[str, list[tuple[float, int]]] = {}
     counts: dict[str, int] = {}
     for cycle, component, _blk in trace:
@@ -59,7 +60,7 @@ def run(noisy: bool = False) -> list[TimelinePanel]:
     for attack_name, kind in ATTACKS.items():
         attack = ATTACK_KINDS[kind](**options)
         system, resolved = attack.prepare(config)
-        trace: list[tuple[int, str, int]] = []
+        trace: PrefetchTrace = []
         system.hierarchy.attach_trace(0, trace)
         outcome = attack.classify(system, resolved, system.run())
         series = _binned(trace)
