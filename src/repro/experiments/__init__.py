@@ -19,7 +19,6 @@ from repro.experiments import (  # noqa: F401
 )
 from repro.experiments.common import (
     PERF_CORE,
-    improvement,
     perf_config,
     security_prefender,
     security_spec,
@@ -27,7 +26,6 @@ from repro.experiments.common import (
 
 __all__ = [
     "PERF_CORE",
-    "improvement",
     "perf_config",
     "security_prefender",
     "security_spec",

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import batch_results, sim_job, table_spec
-from repro.runner import ResultStore
+from repro.experiments.common import sim_job, table_spec
+from repro.runner import ResultStore, run_batch
 from repro.sim.config import PrefetcherSpec
 from repro.utils.tables import render_table
 from repro.workloads import SPEC2006_NAMES
@@ -53,7 +53,7 @@ def run(
 ) -> MissLatencyResult:
     names = workloads or SPEC2006_NAMES
     grid = [(name, spec) for name in names for _, spec in CONFIGS]
-    results = batch_results(
+    results = run_batch(
         [sim_job(name, spec, scale) for name, spec in grid],
         workers=jobs,
         store=store,

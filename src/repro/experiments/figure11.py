@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import batch_results, sim_job, table_spec
-from repro.runner import ResultStore
+from repro.experiments.common import sim_job, table_spec
+from repro.runner import ResultStore, run_batch
 from repro.utils.tables import render_table
 from repro.workloads import SPEC2006_NAMES
 
@@ -45,7 +45,7 @@ def run(
     kind = "prefender" if basic is None else f"prefender+{basic}"
     spec = table_spec(kind, 32, with_rp=True)
     names = workloads or SPEC2006_NAMES
-    results = batch_results(
+    results = run_batch(
         [sim_job(name, spec, scale) for name in names], workers=jobs, store=store
     )
     rows: list[list[object]] = []

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.experiments.common import batch_results, sim_job, table_spec
-from repro.runner import ResultStore
+from repro.experiments.common import sim_job, table_spec
+from repro.runner import ResultStore, run_batch
 from repro.utils.textplot import ascii_series
 from repro.workloads import SPEC2006_NAMES
 
@@ -40,9 +40,9 @@ def run(
     # speculates, so there every scheduler step retires one instruction and
     # the probe's retired-instruction count *is* the sampled step count.
     probe_jobs = [sim_job(name, spec, scale) for name in names]
-    probes = batch_results(probe_jobs, workers=jobs, store=store)
+    probes = run_batch(probe_jobs, workers=jobs, store=store)
     totals = [probe.instructions for probe in probes]
-    sampled = batch_results(
+    sampled = run_batch(
         [
             replace(job, sample_interval=max(1, total // samples))
             for job, total in zip(probe_jobs, totals)

@@ -53,7 +53,8 @@ def run_batch(
         workers: process count; ``1`` runs inline (no pool), ``0`` means
             one worker per CPU core.  Ignored when ``pool`` is given.
         store: optional on-disk store consulted before running and updated
-            after, for ``cacheable`` jobs only.
+            after, for ``cacheable`` jobs only; its size cap is enforced
+            once, after the batch's writes.
         pool: optional persistent :class:`~repro.runner.pool.WorkerPool`;
             its warm workers execute the batch (and stay alive for the
             caller's next batch) instead of a pool forked for this call.
@@ -113,9 +114,11 @@ def run_batch(
             results[unit_keys[0]] = output
 
     if store is not None:
-        for key, job in pending:
-            if job.cacheable:
-                store.put(key, job, results[key])
+        written = [(key, job) for key, job in pending if job.cacheable]
+        for key, job in written:
+            store.put(key, job, results[key])
+        if written:
+            store.evict(keep=written[-1][0])
 
     return [results[key] for key in keys]
 

@@ -10,10 +10,14 @@ result type (such as one an older checkout stored) all degrade to a cache
 miss — the store can never serve a result for the wrong config.
 
 Growth is bounded: pass ``max_bytes`` (``--store-max-mb`` on the CLI) and
-the store evicts least-recently-used entries after every write.  "Used"
-means read *or* written — :meth:`ResultStore.get` touches the file's
-mtime on a hit, so hot entries survive frontier-scale sweeps while stale
-ones age out.  :meth:`ResultStore.clear` remains the manual escape hatch.
+:meth:`ResultStore.evict` deletes least-recently-used entries until the
+store fits.  :func:`~repro.runner.executor.run_batch` calls it once after
+a batch's writes, so the cap holds between batches, not between the
+writes of one batch, and a batch of N new entries lists the directory
+once.  "Used" means read *or* written — :meth:`ResultStore.get` touches
+the file's mtime on a hit, so hot entries survive frontier-scale sweeps
+while stale ones age out.  :meth:`ResultStore.clear` remains the manual
+escape hatch.
 """
 
 from __future__ import annotations
@@ -42,10 +46,8 @@ class ResultStore:
 
     Args:
         root: directory holding the entries (created on first write).
-        max_bytes: optional size cap; when the entries' total size exceeds
-            it after a write, least-recently-used files are deleted until
-            the store fits again (the just-written entry is never evicted,
-            so a single oversized result still caches).
+        max_bytes: optional size cap that :meth:`evict` enforces by
+            deleting least-recently-used files.
 
     Attributes:
         hits / misses: lookup counters for this instance.
@@ -98,7 +100,7 @@ class ResultStore:
         return result
 
     def put(self, key: str, job: object, result: Any) -> None:
-        """Persist one result (then enforce the size cap, if any)."""
+        """Persist one result; :meth:`evict` enforces the size cap."""
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": KEY_VERSION,
@@ -118,14 +120,18 @@ class ResultStore:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-        if self.max_bytes is not None:
-            self._evict(keep=self._path(key))
 
-    def _evict(self, keep: pathlib.Path) -> None:
-        """Delete LRU entries until the store fits ``max_bytes`` again."""
+    def evict(self, keep: str) -> None:
+        """Delete LRU entries until the store fits ``max_bytes`` again.
+
+        Oldest mtime goes first, the file name breaking ties.  The entry of
+        key ``keep`` is never deleted, so a single oversized result still
+        caches.  Without a cap this does nothing.
+        """
         cap = self.max_bytes
-        if cap is None:  # pragma: no cover — only called when a cap is set
+        if cap is None:
             return
+        kept = self._path(keep)
         entries: list[tuple[float, str, pathlib.Path, int]] = []
         total = 0
         for path in self.root.glob("*.json"):
@@ -139,7 +145,7 @@ class ResultStore:
         for _, _, path, size in entries:
             if total <= cap:
                 return
-            if path == keep:
+            if path == kept:
                 continue
             try:
                 path.unlink()

@@ -3,10 +3,11 @@
 Hypothesis draws random programs for 1, 2 and 3 cores.  Each program mixes
 every ALU kind (``r0`` as a destination, negative and huge immediates,
 shifts of 63 and more) with loads and stores to shared lines, scaled
-loads, forward branches, ``jmp``, backward loops, countdown loops,
-``rdcycle``, ``fence``, ``clflush``, ``prefetch`` and ``prefetchw``; some
-draws turn speculative execution, an OoO load-hiding window or PREFENDER
-on.  In some draws every core but the last halts right after its prologue,
+loads, loads that stride with a loop counter (inside a loop they train
+PREFENDER's Access Tracker, so traces fill), forward branches, ``jmp``,
+backward loops, countdown loops, ``rdcycle``, ``fence``, ``clflush``,
+``prefetch`` and ``prefetchw``; some draws turn speculative execution, an
+OoO load-hiding window or PREFENDER on.  In some draws every core but the last halts right after its prologue,
 so the last one runs alone: a lone core runs the lone-core block table,
 whose blocks hold memory ops too (``repro.cpu.blocks``), and one-core
 draws run it throughout.  Every program halts by construction: backward
@@ -67,6 +68,7 @@ _IMMS = (
 )
 
 _reg = st.sampled_from(_REGS)
+_scale = st.sampled_from((8, 64, 192, 4096))
 _imm = st.one_of(st.sampled_from(_IMMS), st.integers(-(1 << 66), 1 << 66))
 #: Two 32-byte slots per shared line: loads read what stores wrote.
 _slot = st.integers(0, 2 * LINES - 1)
@@ -105,7 +107,8 @@ _simple = _weighted(
     (st.tuples(st.just("load"), _reg, _slot), 1),
     (st.tuples(st.just("load_via"), _reg, _reg), 1),
     (st.tuples(st.just("store"), _reg, _slot), 1),
-    (st.tuples(st.just("scaled"), _reg, _reg, st.sampled_from((8, 64, 192, 4096))), 1),
+    (st.tuples(st.just("scaled"), _reg, _reg, _scale), 1),
+    (st.tuples(st.just("strided"), _reg, _scale), 1),
     (st.tuples(st.just("clflush"), _slot), 1),
     (st.tuples(st.just("prefetch"), st.booleans(), _slot), 1),
     (st.tuples(st.just("rdcycle"), _reg), 1),
@@ -168,6 +171,11 @@ def _emit_simple(builder: ProgramBuilder, item: tuple) -> str | None:
         # r8 = r9 + (rs & 7) * scale: a load whose base carries a scale.
         _, rd, rs, scale = item
         builder.and_("r8", rs, 7).mul("r8", "r8", scale).add("r8", "r8", "r9")
+        builder.load(rd, 0, "r8")
+    elif kind == "strided":
+        # r8 = r9 + r10 * scale: in a loop, the address strides with r10.
+        _, rd, scale = item
+        builder.mul("r8", "r10", scale).add("r8", "r8", "r9")
         builder.load(rd, 0, "r8")
     elif kind == "clflush":
         builder.clflush(item[1] * 32, "r9")

@@ -1,11 +1,19 @@
 """Evict+Time (the out-of-scope timing attack) and the CLI front door."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.__main__ import main
 from repro.attacks import EvictTimeAttack
 from repro.core.config import PrefenderConfig
+from repro.runner import WorkerPool, executor
 from repro.sim.config import PrefetcherSpec, SystemConfig
+
+GOLDEN_TRANSCRIPTS = (
+    pathlib.Path(__file__).resolve().parent / "golden" / "cli_transcripts.json"
+)
 
 
 def test_evict_time_baseline_recovers_secret():
@@ -51,14 +59,23 @@ def test_cli_hwcost(capsys):
     assert "400 B" in capsys.readouterr().out
 
 
-def test_cli_table(capsys):
-    assert main(["table", "6", "--scale", "0.1"]) == 0
-    assert "Table VI" in capsys.readouterr().out
+def test_cli_table_parallel_jobs(capsys, monkeypatch):
+    """``--jobs 2`` runs Table IV's 144 jobs on one WorkerPool, whose
+    workers simulate every job, and prints exactly what the inline path
+    prints from its 72 shared simulations (the golden transcript)."""
+    batches = []
 
+    class CountingPool(WorkerPool):
+        def run(self, jobs):
+            batches.append(len(jobs))
+            return super().run(jobs)
 
-def test_cli_table_parallel_jobs(capsys):
-    assert main(["table", "6", "--scale", "0.1", "--jobs", "2"]) == 0
-    assert "Table VI" in capsys.readouterr().out
+    monkeypatch.setattr(executor, "WorkerPool", CountingPool)
+    assert main(["table", "4", "--scale", "0.1", "--jobs", "2"]) == 0
+    assert batches == [144]
+    golden = json.loads(GOLDEN_TRANSCRIPTS.read_text())["table 4 --scale 0.1"]
+    assert golden["exit"] == 0
+    assert capsys.readouterr().out.splitlines() == golden["stdout"]
 
 
 def test_cli_rejects_non_positive_scale(capsys):

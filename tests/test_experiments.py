@@ -1,24 +1,36 @@
 """Experiment harness plumbing (small-scale runs; full scale in benchmarks/)."""
 
+from types import SimpleNamespace
+
 from repro.experiments import common, figure8, figure10, figure11, table4, table6
 from repro.experiments.related import TABLE_I, TABLE_II_CLAIMS
 from repro.sim.config import PrefetcherSpec
 
 
-def test_improvement_baseline_is_zero():
-    assert common.improvement(
-        "999.specrand", PrefetcherSpec(kind="none"), 0.05
-    ) == 0.0
+def test_improvement_baseline_is_zero(monkeypatch):
+    """A cell is the row's baseline cycles over the column's, minus one:
+    a no-prefetcher column reads 0, each row against its own baseline."""
+    cycles = {
+        "999.specrand": {"none": 1000, "tagged": 1000},
+        "462.libquantum": {"none": 1000, "tagged": 800},
+    }
 
+    def fake_batch(jobs, workers=1, store=None):
+        return [
+            SimpleNamespace(cycles=cycles[job.workload][job.system.prefetcher.kind])
+            for job in jobs
+        ]
 
-def test_improvement_cache_reuses_runs():
-    common.clear_cycle_cache()
-    spec = PrefetcherSpec(kind="tagged")
-    first = common.improvement("462.libquantum", spec, 0.05)
-    hits_before = common.cache_stats()["hits"]
-    second = common.improvement("462.libquantum", spec, 0.05)
-    assert first == second
-    assert common.cache_stats()["hits"] > hits_before
+    monkeypatch.setattr(common, "run_batch", fake_batch)
+    columns = [
+        ("Base", PrefetcherSpec(kind="none")),
+        ("Tagged", PrefetcherSpec(kind="tagged")),
+    ]
+    rows, averages = common.improvement_rows(
+        ["999.specrand", "462.libquantum"], columns, 0.05
+    )
+    assert rows == [["999.specrand", 0.0, 0.0], ["462.libquantum", 0.0, 0.25]]
+    assert averages == [0.0, 0.125]
 
 
 def test_security_spec_variants():

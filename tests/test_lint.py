@@ -276,6 +276,28 @@ def test_snap501_counts_restore_keys_and_aggregate_reads():
     assert rules_hit(src, MEM) == []
 
 
+def test_snap501_flags_a_field_changed_through_a_local_alias():
+    # `_counts` is only ever changed through `counts`, a local bound from it.
+    src = (
+        "class Log:\n"
+        "    __slots__ = ('_counts', '_seen')\n"
+        "    def __init__(self):\n"
+        "        self._counts = [{}]\n"
+        "        self._seen = []\n"
+        "    def bump(self, core, key):\n"
+        "        counts = self._counts[core]\n"
+        "        counts[key] = counts.get(key, 0) + 1\n"
+        "    def see(self, item):\n"
+        "        seen = self._seen\n"
+        "        seen.append(item)\n"
+        "    def snapshot(self):\n"
+        "        return {'seen': tuple(self._seen)}\n"
+    )
+    findings = lint_source(src, MEM, LINT_RULES)
+    assert [(f.rule, f.line) for f in findings] == [("SNAP501", 8)]
+    assert "Log._counts" in findings[0].message
+
+
 def test_snap501_ignores_plain_and_tuple_snapshot_classes():
     # No __slots__/dataclass fields, and a non-dict snapshot protocol:
     # both shapes are out of the rule's scope.

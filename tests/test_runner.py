@@ -157,11 +157,11 @@ def test_config_fingerprint_cache_follows_identity(first, second):
 
 #: sha256 over the newline-joined keys of Table IV's 144 jobs at scale 0.5
 #: (``SPEC2006_NAMES`` x ``[BASELINE_SPEC, *table4._columns(with_rp=False)]``),
-#: in ``grid_improvements`` submission order (``KEY_VERSION`` 3).
+#: in ``improvement_rows`` submission order (``KEY_VERSION`` 3).
 TABLE4_JOB_KEYS_SHA256 = "61be5e7b2b0acc2fd3a86853392f598c7cfc4039a6304bd11801f792b1521523"
 
 
-def test_grid_improvements_shares_one_config_per_column(monkeypatch):
+def test_improvement_rows_shares_one_config_per_column(monkeypatch):
     """Each column's jobs share one config object, so a pass fingerprints
     12 configs rather than 144, and not a single key moves."""
     submitted = []
@@ -170,9 +170,8 @@ def test_grid_improvements_shares_one_config_per_column(monkeypatch):
         submitted.extend(jobs)
         return [SimpleNamespace(cycles=100) for _ in jobs]
 
-    monkeypatch.setattr(common, "batch_results", fake_batch)
-    specs = [spec for _, spec in table4._columns(with_rp=False)]
-    common.grid_improvements(SPEC2006_NAMES, specs, 0.5)
+    monkeypatch.setattr(common, "run_batch", fake_batch)
+    common.improvement_rows(SPEC2006_NAMES, table4._columns(with_rp=False), 0.5)
     assert len(submitted) == 144
     assert _digest(job.key() for job in submitted) == TABLE4_JOB_KEYS_SHA256
     assert len({id(job.system) for job in submitted}) == 12
@@ -240,36 +239,36 @@ def test_job_keys_distinguish_previously_dropped_fields():
         assert job_a.key() != job_b.key(), change
 
 
-def test_cycle_cache_regression_at_threshold():
+def test_cycle_cache_regression_at_threshold(tmp_path):
     """Headline bug: at_threshold sweeps must not share cached cycles.
 
-    Under the old memoiser both calls mapped to the same tuple key, so the
+    Under the old memoiser both jobs mapped to the same tuple key, so the
     second returned the first's cycle count.  at_threshold genuinely changes
     libquantum's timing (prefetching starts earlier), so distinct caching is
     observable in the cycles themselves, not just in cache bookkeeping.
     """
-    common.clear_cycle_cache()
-    make = lambda threshold: PrefetcherSpec(
-        kind="prefender",
-        prefender=replace(PrefenderConfig.full(8), at_threshold=threshold),
+    store = ResultStore(tmp_path)
+    make = lambda threshold: common.sim_job(
+        "462.libquantum",
+        PrefetcherSpec(
+            kind="prefender",
+            prefender=replace(PrefenderConfig.full(8), at_threshold=threshold),
+        ),
+        0.1,
     )
-    early = common.workload_cycles("462.libquantum", make(2), 0.1)
-    late = common.workload_cycles("462.libquantum", make(6), 0.1)
-    stats = common.cache_stats()
-    assert stats["misses"] == 2 and stats["hits"] == 0, stats
-    assert early != late, "at_threshold=2 vs 6 must simulate differently"
-    # Same spec again is a pure cache hit with the same answer.
-    assert common.workload_cycles("462.libquantum", make(2), 0.1) == early
-    assert common.cache_stats()["hits"] == 1
+    early, late = run_batch([make(2), make(6)], store=store)
+    assert store.misses == 2 and store.hits == 0
+    assert early.cycles != late.cycles, "at_threshold=2 vs 6 must simulate differently"
+    # Same spec again is a pure store hit with the same answer.
+    (again,) = run_batch([make(2)], store=store)
+    assert store.hits == 1 and again.cycles == early.cycles
 
 
 def test_parallel_batch_matches_sequential_table4():
     kwargs = dict(
         scale=0.1, workloads=["462.libquantum", "999.specrand"], buffer_sweep=(32,)
     )
-    common.clear_cycle_cache()
     sequential = table4.render(table4.run(**kwargs))
-    common.clear_cycle_cache()
     parallel = table4.render(table4.run(jobs=2, **kwargs))
     assert parallel == sequential, "parallel run must be byte-identical"
 
@@ -362,6 +361,7 @@ def test_store_eviction_is_lru_ordered(tmp_path):
 
     def put(key: str, stamp: int) -> None:
         store.put(key, {"synthetic": key}, result)
+        store.evict(keep=key)
         os.utime(store._path(key), (stamp, stamp))
 
     put("key-a", 100)
@@ -391,11 +391,33 @@ def test_store_never_evicts_the_just_written_entry(tmp_path):
         tmp_path / "tiny", max_bytes=max(1, sizer.size_bytes() // 2)
     )
     store.put("only", {"synthetic": "only"}, result)
+    store.evict(keep="only")
     assert len(store) == 1, "an oversized single entry still caches"
     assert store.evictions == 0
     store.put("next", {"synthetic": "next"}, result)
+    store.evict(keep="next")
     assert len(store) == 1 and store.evictions == 1
     assert store.get("next") is not None
+
+
+def test_capped_batch_evicts_once(tmp_path, monkeypatch):
+    """A capped batch writes every new entry, then lists the store once
+    and keeps the batch's last entry."""
+    store = ResultStore(tmp_path, max_bytes=1)
+    kept = []
+    evict = store.evict
+
+    def counting(keep: str) -> None:
+        kept.append(keep)
+        evict(keep)
+
+    monkeypatch.setattr(store, "evict", counting)
+    spec = PrefetcherSpec(kind="none")
+    jobs = [common.sim_job("999.specrand", spec, scale) for scale in (0.05, 0.06, 0.07)]
+    run_batch(jobs, store=store)
+    assert kept == [jobs[-1].key()]
+    assert store.evictions == 2 and len(store) == 1
+    assert store.get(jobs[-1].key()) is not None
 
 
 def test_store_uncapped_by_default_and_rejects_bad_cap(tmp_path):

@@ -659,8 +659,10 @@ class SnapshotCoverageRule:
     nested-attribute store, or an in-place mutator call) is live
     simulator state — warm replay resumes from it — so its name (modulo
     a leading-underscore prefix) must appear in the snapshot dict keys
-    or the restore key set.  Fields only ever assigned at construction
-    are configuration and need no coverage.
+    or the restore key set.  A write through a local bound from a field
+    in the same method (``counts = self._counts[i]`` then
+    ``counts[k] += 1``) counts as a write of that field.  Fields only
+    ever assigned at construction are configuration and need no coverage.
     """
 
     rule_id = "SNAP501"
@@ -686,6 +688,21 @@ class SnapshotCoverageRule:
                 continue
             if stmt.name in _SNAP_CONSTRUCTORS:
                 continue
+            # Locals bound from a field: ``name = self.<field>...``.
+            aliases: dict[str, str] = {}
+            for child in ast.walk(stmt):
+                if (
+                    isinstance(child, ast.Assign)
+                    and len(child.targets) == 1
+                    and isinstance(child.targets[0], ast.Name)
+                ):
+                    field = _self_field_of(child.value)
+                    if field is not None:
+                        aliases[child.targets[0].id] = field
+
+            def field_of(node: ast.expr) -> str | None:
+                return _self_field_of(node) or aliases.get(_root_name(node) or "")
+
             for child in ast.walk(stmt):
                 targets: list[ast.expr] = []
                 if isinstance(child, ast.Assign):
@@ -698,12 +715,12 @@ class SnapshotCoverageRule:
                         isinstance(func, ast.Attribute)
                         and func.attr in _MUTATOR_METHODS
                     ):
-                        note(_self_field_of(func.value), child.lineno)
+                        note(field_of(func.value), child.lineno)
                     continue
                 for target in targets:
                     if isinstance(target, ast.Name):
-                        continue  # local, not a field
-                    note(_self_field_of(target), child.lineno)
+                        continue  # rebinding a local writes no field
+                    note(field_of(target), child.lineno)
         return mutated
 
     def check(self, tree: ast.Module, relpath: str) -> Iterator[tuple[int, str]]:
