@@ -6,15 +6,11 @@ positive under ST+AT; random-lookup (sjeng) not positive; compute-only
 (specrand) flat; more access buffers never catastrophically worse.
 """
 
-from conftest import perf_scale
-
 from repro.experiments import table4
 
 
-def test_table4(benchmark, emit):
-    result = benchmark.pedantic(
-        table4.run, kwargs={"scale": perf_scale()}, rounds=1, iterations=1
-    )
+def test_table4(benchmark, emit, table4_at_scale):
+    result = benchmark.pedantic(table4_at_scale, rounds=1, iterations=1)
     emit("table4", table4.render(result))
 
     for header, average in zip(result.headers[1:], result.averages):

@@ -6,13 +6,12 @@ RP costs little (Table V averages within a few points of Table IV's).
 
 from conftest import perf_scale
 
-from repro.experiments import table4, table5
+from repro.experiments import table5
 
 
-def test_table5(benchmark, emit):
-    scale = perf_scale()
+def test_table5(benchmark, emit, table4_at_scale):
     result = benchmark.pedantic(
-        table5.run, kwargs={"scale": scale}, rounds=1, iterations=1
+        table5.run, kwargs={"scale": perf_scale()}, rounds=1, iterations=1
     )
     emit("table5", table5.render(result))
 
@@ -25,7 +24,7 @@ def test_table5(benchmark, emit):
     assert abs(full["999.specrand"]) < 0.001
 
     # RP-on averages stay in the same band as RP-off (paper: slightly lower).
-    rp_off = table4.run(scale=scale)
+    rp_off = table4_at_scale()
     for index, header in enumerate(result.headers[1:]):
         delta = result.averages[index] - rp_off.averages[index]
         assert abs(delta) < 0.08, f"{header}: RP shifted average by {delta:+.2%}"

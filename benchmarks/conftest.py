@@ -13,6 +13,8 @@ import pathlib
 
 import pytest
 
+from repro.experiments import table4
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 # The runner's on-disk JSON store (repro.runner.ResultStore) lives here.
 CACHE_DIR = RESULTS_DIR / "cache"
@@ -20,6 +22,21 @@ CACHE_DIR = RESULTS_DIR / "cache"
 
 def perf_scale() -> float:
     return float(os.environ.get("REPRO_SCALE", "0.5"))
+
+
+@pytest.fixture(scope="session")
+def table4_at_scale():
+    """Table IV at ``perf_scale()``, computed by the first call in the
+    session and returned by every later one: ``bench_table4`` times and
+    checks it, and ``bench_table5`` compares Table V's averages with it."""
+    results = []
+
+    def run():
+        if not results:
+            results.append(table4.run(scale=perf_scale()))
+        return results[0]
+
+    return run
 
 
 @pytest.fixture

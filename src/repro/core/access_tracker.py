@@ -194,7 +194,7 @@ class AccessTracker:
                 continue
             if l1d_contains(candidate):
                 continue
-            requests.append(PrefetchRequest(addr=candidate, component=component))
+            requests.append(PrefetchRequest(candidate, component))
         if component == self.guided_component:
             self.guided_proposals += len(requests)
             buffer.guided_prefetches += len(requests)

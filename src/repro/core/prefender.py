@@ -187,9 +187,7 @@ class Prefender(Prefetcher):
                     observation, access_tracker
                 )
             requests.extend(
-                access_tracker.observe_load(
-                    observation, l1d_contains, guided_scale=guided_scale
-                )
+                access_tracker.observe_load(observation, l1d_contains, guided_scale)
             )
             if record_protector is not None and guided_scale is not None:
                 record_protector.protect_after_allocation(

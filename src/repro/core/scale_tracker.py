@@ -62,6 +62,6 @@ class ScaleTracker:
                 continue
             if l1d_contains(candidate):
                 continue
-            requests.append(PrefetchRequest(addr=candidate, component=self.component))
+            requests.append(PrefetchRequest(candidate, self.component))
             self.proposals += 1
         return requests

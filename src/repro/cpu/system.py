@@ -28,6 +28,10 @@ blocks (:mod:`repro.cpu.blocks`), which hold memory ops and end only at
 A sampled run turns fusion off, so there every step is one instruction
 (or one squash), and runs the same dispatch in chunks of
 ``sample_interval`` steps, sampling after each full chunk.
+
+:meth:`System.replay` runs a lone core without stepping it at all: it
+replays an :class:`~repro.cpu.access_trace.AccessTrace` that a full run of
+the same program under the same core config recorded, through :meth:`run`.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
+from repro.cpu.access_trace import AccessTrace
 from repro.cpu.core import Core, CoreConfig
 from repro.errors import SimulationError, SnapshotError
 from repro.isa.decode import K_LOAD
@@ -115,6 +120,8 @@ class System:
             Core(core_id, program, hierarchy, core_config)
             for core_id, program in enumerate(programs)
         ]
+        # The trace the running replay() drives, else None.
+        self._replaying: AccessTrace | None = None
 
     def run(
         self,
@@ -135,11 +142,16 @@ class System:
             sample_fn: sampling callback; defaults to core 0's protected
                 buffer count when its prefetcher is a PREFENDER.
 
+        Inside :meth:`replay` the run drives the armed trace instead of
+        stepping the core, and takes no step.
+
         Raises:
             SimulationError: when work is left after ``max_steps`` steps.
         """
         samples: list[tuple[int, object]] = []
-        if not sample_interval:
+        if self._replaying is not None:
+            self._replaying.drive(self.cores[0])
+        elif not sample_interval:
             self._advance(max_steps)
         else:
             if sample_fn is None:
@@ -170,6 +182,32 @@ class System:
                     "a program probably fails to halt"
                 )
         return self._result(samples)
+
+    def replay(self, trace: AccessTrace) -> RunResult:
+        """Run this one-core system to halt by replaying ``trace``
+        (:meth:`AccessTrace.drive
+        <repro.cpu.access_trace.AccessTrace.drive>`) instead of stepping
+        its core, and return the result a full :meth:`run` would.
+
+        The trace must come from a full run of the same program under the
+        same core config and page size; the hierarchy config and the
+        prefetcher may differ.  The replay goes through :meth:`run`, so
+        whatever wraps or counts runs sees it as one.
+
+        Raises:
+            SimulationError: when the system has more than one core, or its
+                core is not a fresh one that ``trace`` may drive.
+        """
+        if len(self.cores) != 1:
+            raise SimulationError(
+                f"a replay drives one core, not {len(self.cores)}"
+            )
+        trace.check(self.cores[0])
+        self._replaying = trace
+        try:
+            return self.run()
+        finally:
+            self._replaying = None
 
     def _advance(self, budget: int) -> int:
         """Take up to ``budget`` scheduler steps with the loop for the

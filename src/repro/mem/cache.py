@@ -255,7 +255,7 @@ class Cache:
         if demand:
             stats.misses += 1
 
-        merged_ready = self.mshr.merge(block_addr, now, demand=demand)
+        merged_ready = self.mshr.merge(block_addr, now, demand)
         if merged_ready is not None:
             latency = max(self.hit_latency, merged_ready - now)
             if demand:
@@ -264,7 +264,7 @@ class Cache:
             return latency, "MSHR"
 
         below_latency, below_level = self.parent.access(
-            block_addr, now + self.hit_latency, write=False, demand=demand
+            block_addr, now + self.hit_latency, False, demand
         )
         fill_time = self.hit_latency + below_latency
         if demand:
@@ -280,13 +280,9 @@ class Cache:
                 block_addr, now, fill_time
             )
         total_latency = (start - now) + fill_time
+        # (lines, block_addr, now, ready_time, prefetched, component)
         line = self._insert(
-            lines,
-            block_addr,
-            now,
-            now + total_latency,
-            prefetched=not demand,
-            component=None,
+            lines, block_addr, now, now + total_latency, not demand, None
         )
         if write:
             line.dirty = True
@@ -340,16 +336,14 @@ class Cache:
             self.stats.prefetch_dropped += 1
             return None
         below_latency, _ = self.parent.access(
-            block_addr, now + self.hit_latency, write=False, demand=False
+            block_addr, now + self.hit_latency, False, False
         )
         fill_time = self.hit_latency + below_latency
         ready_time = self.mshr.allocate_prefetch(block_addr, now, fill_time)
         if ready_time is None:  # pragma: no cover - guarded by available()
             self.stats.prefetch_dropped += 1
             return None
-        self._insert(
-            lines, block_addr, now, ready_time, prefetched=True, component=component
-        )
+        self._insert(lines, block_addr, now, ready_time, True, component)
         self.stats.prefetch_issued += 1
         return ready_time
 

@@ -240,28 +240,30 @@ class MemoryHierarchy:
         l1d = self.l1ds[core_id]
         if self._exclusive:
             self._yield_exclusivity(core_id, addr & self._block_mask)
-        latency, level = l1d.access(addr, now, write=False)
+        latency, level = l1d.access(addr, now, False)
         # MainMemory.read, inlined: every load reads the functional word.
         memory = self.memory
         memory.reads += 1
         value = memory._words.get(addr, 0)
         prefetcher = self._active[core_id]
         if prefetcher is not None:
+            # Positional: the generated __init__ of a slotted dataclass
+            # binds keywords far slower, and this runs on every load.
             observation = Observation(
-                op="load",
-                core_id=core_id,
-                pc=pc,
-                addr=addr,
-                block_addr=addr & self._block_mask,
-                hit=(level == l1d.level_name),
-                now=now,
-                scale=scale,
-                speculative=speculative,
+                "load",
+                core_id,
+                pc,
+                addr,
+                addr & self._block_mask,
+                level == l1d.level_name,
+                now,
+                scale,
+                speculative,
             )
             requests = prefetcher.observe(observation, l1d.contains)
             if requests:
                 self._issue_requests(core_id, now, requests)
-        return AccessOutcome(value=value, latency=latency, level=level)
+        return AccessOutcome(value, latency, level)
 
     def store(
         self,
@@ -282,7 +284,7 @@ class MemoryHierarchy:
         block_addr = addr & self._block_mask
         if self._exclusive:
             self._yield_exclusivity(core_id, block_addr)
-        latency, level = l1d.access(addr, now, write=True)
+        latency, level = l1d.access(addr, now, True)
         self.memory.write(addr, value)
         if self.num_cores > 1:
             for other_id, other in enumerate(self.l1ds):
@@ -291,15 +293,15 @@ class MemoryHierarchy:
         prefetcher = self._store_active[core_id]
         if prefetcher is not None:
             observation = Observation(
-                op="store",
-                core_id=core_id,
-                pc=pc,
-                addr=addr,
-                block_addr=block_addr,
-                hit=(level == l1d.level_name),
-                now=now,
-                scale=1,
-                speculative=speculative,
+                "store",
+                core_id,
+                pc,
+                addr,
+                block_addr,
+                level == l1d.level_name,
+                now,
+                1,
+                speculative,
             )
             requests = prefetcher.observe(observation, l1d.contains)
             if requests:
@@ -349,7 +351,7 @@ class MemoryHierarchy:
         if not l1d.contains(block_addr) and not l1d.mshr.prefetch_available(now):
             l1d.mshr.prefetch_drops += 1
             l1d.stats.prefetch_dropped += 1
-            return AccessOutcome(value=0, latency=l1d.hit_latency, level="DROPPED")
+            return AccessOutcome(0, l1d.hit_latency, "DROPPED")
         snooped = False
         if write:
             for other_id, other in enumerate(self.l1ds):
@@ -359,10 +361,10 @@ class MemoryHierarchy:
             self._exclusive[block_addr] = core_id
         else:
             self._yield_exclusivity(core_id, block_addr)
-        latency, level = l1d.access(addr, now, write=False, demand=False)
+        latency, level = l1d.access(addr, now, False, False)
         if snooped:
             latency += self.config.prefetchw_snoop_latency
-        return AccessOutcome(value=0, latency=latency, level=level)
+        return AccessOutcome(0, latency, level)
 
     # -- snapshot/restore ------------------------------------------------------
 

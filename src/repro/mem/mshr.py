@@ -280,13 +280,8 @@ class MSHRFile:
                 self.total_wait_cycles += start_time - now
                 self._purge(start_time)
         ready_time = start_time + fill_time
-        self._append(
-            _Entry(
-                block_addr=block_addr,
-                ready_time=ready_time,
-                borrows_prefetch_slot=borrows,
-            )
-        )
+        # (block_addr, ready_time, merges, is_prefetch, borrows_prefetch_slot)
+        self._append(_Entry(block_addr, ready_time, 0, False, borrows))
         return start_time, ready_time
 
     def allocate_prefetch_fill(self, block_addr: int, now: int, fill_time: int) -> int:
@@ -299,9 +294,7 @@ class MSHRFile:
         if self._earliest <= now:
             self._purge(now)
         ready_time = now + fill_time
-        self._append(
-            _Entry(block_addr=block_addr, ready_time=ready_time, is_prefetch=True)
-        )
+        self._append(_Entry(block_addr, ready_time, 0, True))
         return ready_time
 
     def allocate_prefetch(self, block_addr: int, now: int, fill_time: int) -> int | None:
@@ -316,7 +309,5 @@ class MSHRFile:
             self.prefetch_drops += 1
             return None
         ready_time = now + fill_time
-        self._append(
-            _Entry(block_addr=block_addr, ready_time=ready_time, is_prefetch=True)
-        )
+        self._append(_Entry(block_addr, ready_time, 0, True))
         return ready_time

@@ -42,4 +42,4 @@ class BITPPrefetcher(Prefetcher):
 
     def on_back_invalidation(self, block_addr: int, now: int) -> list[PrefetchRequest]:
         self.back_invalidation_hits += 1
-        return [PrefetchRequest(addr=block_addr, component=self.name)]
+        return [PrefetchRequest(block_addr, self.name)]

@@ -76,4 +76,4 @@ class DisruptivePrefetcher(Prefetcher):
         candidate = observation.block_addr + offset
         if candidate < 0 or l1d_contains(candidate):
             return []
-        return [PrefetchRequest(addr=candidate, component=self.name)]
+        return [PrefetchRequest(candidate, self.name)]

@@ -63,14 +63,12 @@ class StridePrefetcher(Prefetcher):
         require_keys(data, ("table",), "StridePrefetcher")
         self._table.clear()
         for pc, last_addr, stride, confident in data["table"]:
-            self._table[pc] = _Entry(
-                last_addr=last_addr, stride=stride, confident=confident
-            )
+            self._table[pc] = _Entry(last_addr, stride, confident)
 
     def _entry(self, pc: int, addr: int) -> _Entry:
         entry = self._table.get(pc)
         if entry is None:
-            entry = _Entry(last_addr=addr)
+            entry = _Entry(addr)
             self._table[pc] = entry
             while len(self._table) > self.table_size:
                 self._table.popitem(last=False)
@@ -95,9 +93,7 @@ class StridePrefetcher(Prefetcher):
                         candidate = observation.addr + new_stride * step
                         if candidate < 0 or l1d_contains(candidate):
                             continue
-                        requests.append(
-                            PrefetchRequest(addr=candidate, component=self.name)
-                        )
+                        requests.append(PrefetchRequest(candidate, self.name))
                 else:
                     # Second matching delta: transient -> steady, no issue yet.
                     entry.confident = True

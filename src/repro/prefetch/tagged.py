@@ -71,5 +71,5 @@ class TaggedPrefetcher(Prefetcher):
             if l1d_contains(candidate):
                 continue
             self._remember(candidate)
-            requests.append(PrefetchRequest(addr=candidate, component=self.name))
+            requests.append(PrefetchRequest(candidate, self.name))
         return requests

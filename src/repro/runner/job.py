@@ -16,7 +16,9 @@ Two job kinds cover everything the experiments run:
   (:func:`repro.sim.simulator.run_program`); returns the run's
   :class:`~repro.cpu.system.RunResult`, which is JSON round-trippable, so
   results can live in the on-disk store.  Inside :func:`shared_runs` (an
-  inline batch), jobs whose effective keys match share one simulation.
+  inline batch), jobs whose effective keys match share one simulation,
+  and jobs whose functional keys match share one instruction stream:
+  the first is recorded, the rest replay its loads and stores.
 * :class:`ScenarioJob` — one attack (by registry name) against one victim
   under one system config, for one secret.  The paper's own victim is the
   ``direct`` one, a single access at index ``secret``; the crypto victims
@@ -53,11 +55,13 @@ from repro.attacks import (
 )
 from repro.attacks.base import verdict_line
 from repro.attacks.layout import AttackOptions
+from repro.cpu.access_trace import AccessTrace, replayable
 from repro.cpu.system import RunResult
 from repro.errors import ConfigError
 from repro.isa.program import Program
-from repro.sim.config import SystemConfig
-from repro.sim.simulator import run_program
+from repro.mem.hierarchy import HierarchyConfig
+from repro.sim.config import PrefetcherSpec, SystemConfig
+from repro.sim.simulator import record_program, replay_program, run_program
 from repro.workloads import get_workload
 
 #: Bump when the key schema or the simulator's observable semantics change;
@@ -182,38 +186,14 @@ class SimJob:
     def key(self) -> str:
         return job_key(self)
 
-    def effective(self, program: Program) -> "SimJob":
-        """The job this one behaves as on ``program``: a PREFENDER's config
-        clamped by :meth:`~repro.core.config.PrefenderConfig.for_load_pcs`
-        to the program's load PCs.  Jobs whose effective keys are equal
-        give equal results; a job that no clamp changes is its own."""
-        spec = self.system.prefetcher
-        if not spec.kind.startswith("prefender"):
-            return self
-        prefender = spec.prefender.for_load_pcs(program.load_pc_count())
-        if prefender is spec.prefender:
-            return self
-        return replace(
-            self,
-            system=replace(
-                self.system, prefetcher=replace(spec, prefender=prefender)
-            ),
-        )
-
     def run(self) -> RunResult:
-        """Simulate the job, or, inside :func:`shared_runs`, return a copy
-        of the result an earlier job with the same effective key got."""
+        """Simulate the job; inside :func:`shared_runs`, share or replay
+        what an earlier job of the batch simulated (see there)."""
         program = get_workload(self.workload).program(self.scale)
-        shared = _SHARED_RUNS.get()
-        if shared is None:
+        table = _SHARED_RUNS.get()
+        if table is None:
             return self._simulate(program)
-        key = self.effective(program).key()
-        stored = shared.get(key)
-        if stored is not None:
-            return RunResult.from_json(stored)
-        result = self._simulate(program)
-        shared[key] = result.to_json()
-        return result
+        return table.run(self, program)
 
     def _simulate(self, program: Program) -> RunResult:
         return run_program(
@@ -224,27 +204,129 @@ class SimJob:
         )
 
 
-#: The open share table of :func:`shared_runs`: each effective key's
-#: result (as ``RunResult.to_json``), or ``None`` outside one.  A context
-#: variable, not an argument, because every caller of ``SimJob.run`` (the
-#: executor, a pool worker, code that wraps the method) calls it bare.
-_SHARED_RUNS: ContextVar[dict[str, dict[str, Any]] | None] = ContextVar(
+def _effective_system(system: SystemConfig, load_pcs: int) -> SystemConfig:
+    """The config ``system`` behaves as on a program with ``load_pcs``
+    load PCs: a PREFENDER's clamped by
+    :meth:`~repro.core.config.PrefenderConfig.for_load_pcs`, or ``system``
+    itself when no clamp changes it."""
+    spec = system.prefetcher
+    if not spec.kind.startswith("prefender"):
+        return system
+    prefender = spec.prefender.for_load_pcs(load_pcs)
+    if prefender is spec.prefender:
+        return system
+    return replace(system, prefetcher=replace(spec, prefender=prefender))
+
+
+def _functional_system(system: SystemConfig) -> SystemConfig:
+    """``system`` with the prefetcher spec and the hierarchy config at
+    their defaults: the two only pick latencies, so what is left decides
+    a replayable lone core's instruction stream."""
+    return replace(system, prefetcher=PrefetcherSpec(), hierarchy=HierarchyConfig())
+
+
+class _ShareTable:
+    """What the :class:`SimJob` runs inside one :func:`shared_runs` block
+    share: results by effective key, traces by functional key, and each
+    config object's derived configs."""
+
+    __slots__ = ("_results", "_traces", "_systems")
+
+    def __init__(self) -> None:
+        # Effective key -> the first such job's result, as to_json.
+        self._results: dict[str, dict[str, Any]] = {}
+        # Functional key -> the first such job's trace.
+        self._traces: dict[str, AccessTrace] = {}
+        # id(config) -> (config, its functional config, its effective
+        # config by load-PC count).  Keyed by identity, as fingerprint
+        # caches, never by ==: 1, 1.0 and True compare equal but key
+        # differently.  The entry holds the config itself, so the id is not
+        # reused while the table lives, and each derived config, so each is
+        # built and walked once a batch.
+        self._systems: dict[
+            int, tuple[SystemConfig, SystemConfig, dict[int, SystemConfig]]
+        ] = {}
+
+    def _derived(
+        self, system: SystemConfig, load_pcs: int
+    ) -> tuple[SystemConfig, SystemConfig]:
+        """``system``'s effective config on a program with ``load_pcs``
+        load PCs, and its functional config."""
+        entry = self._systems.get(id(system))
+        if entry is None:
+            entry = self._systems[id(system)] = (
+                system,
+                _functional_system(system),
+                {},
+            )
+        effective = entry[2].get(load_pcs)
+        if effective is None:
+            effective = entry[2][load_pcs] = _effective_system(system, load_pcs)
+        return effective, entry[1]
+
+    def run(self, job: SimJob, program: Program) -> RunResult:
+        """``job``'s result on ``program``: a copy of an earlier job's with
+        the same effective key, a replay of the trace an earlier job with
+        the same functional key recorded, or a full simulation, recorded
+        when the job may be replayed."""
+        effective, functional = self._derived(job.system, program.load_pc_count())
+        key = replace(job, system=effective).key()
+        stored = self._results.get(key)
+        if stored is not None:
+            return RunResult.from_json(stored)
+        if (
+            job.system.num_cores != 1
+            or job.sample_interval
+            or not replayable(program, job.system.core)
+        ):
+            result = job._simulate(program)
+        else:
+            trace_key = replace(job, system=functional).key()
+            trace = self._traces.get(trace_key)
+            if trace is None:
+                result, self._traces[trace_key] = record_program(
+                    program, job.system, max_steps=job.max_steps
+                )
+            else:
+                result = replay_program(program, job.system, trace)
+        self._results[key] = result.to_json()
+        return result
+
+
+#: The open share table of :func:`shared_runs`, or ``None`` outside one.
+#: A context variable, not an argument, because every caller of
+#: ``SimJob.run`` (the executor, a pool worker, code that wraps the
+#: method) calls it bare.
+_SHARED_RUNS: ContextVar[_ShareTable | None] = ContextVar(
     "shared_runs", default=None
 )
 
 
 @contextmanager
 def shared_runs() -> Iterator[None]:
-    """Share results between the :class:`SimJob` runs made inside.
+    """Share work between the :class:`SimJob` runs made inside.
 
-    The first job of each effective key (:meth:`SimJob.effective`) is
-    simulated with its own config; each later one gets an equal but
-    separate :class:`~repro.cpu.system.RunResult`.  Every job still makes
-    its own :meth:`SimJob.run` call.  The table is dropped on exit, so
-    nothing is shared between two blocks, and runs outside a block (in a
-    worker process, say) simulate every job.
+    * **Equal results.**  A job's *effective key* is its key with a
+      PREFENDER's buffer count clamped to the program's load PCs
+      (:meth:`~repro.core.config.PrefenderConfig.for_load_pcs`).  The first
+      job of each effective key runs with its own config; each later one
+      gets an equal but separate :class:`~repro.cpu.system.RunResult`.
+    * **One instruction stream.**  A job's *functional key* is its key
+      with the prefetcher spec and the hierarchy config at their defaults.
+      When the job is single-core, unsampled and its program is
+      :func:`~repro.cpu.access_trace.replayable` under its core config,
+      the first job of each functional key runs in full on a hierarchy
+      that records its loads and stores, and each later one replays that
+      trace on its own hierarchy and prefetcher
+      (:func:`~repro.sim.simulator.replay_program`); the result is the one
+      a full run gives.
+
+    Every job still makes its own :meth:`SimJob.run` call.  Results and
+    traces live and die with the block, so nothing is shared between two
+    blocks, and runs outside a block (in a worker process, say) simulate
+    every job.
     """
-    token = _SHARED_RUNS.set({})
+    token = _SHARED_RUNS.set(_ShareTable())
     try:
         yield
     finally:

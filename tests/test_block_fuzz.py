@@ -3,15 +3,23 @@
 Hypothesis draws random programs for 1, 2 and 3 cores.  Each program mixes
 every ALU kind (``r0`` as a destination, negative and huge immediates,
 shifts of 63 and more) with loads and stores to shared lines, scaled
-loads, loads that stride with a loop counter (inside a loop they train
-PREFENDER's Access Tracker, so traces fill), forward branches, ``jmp``,
-backward loops, countdown loops, ``rdcycle``, ``fence``, ``clflush``,
-``prefetch`` and ``prefetchw``; some draws turn speculative execution, an
-OoO load-hiding window or PREFENDER on.  In some draws every core but the last halts right after its prologue,
-so the last one runs alone: a lone core runs the lone-core block table,
-whose blocks hold memory ops too (``repro.cpu.blocks``), and one-core
-draws run it throughout.  Every program halts by construction: backward
-edges only close counted loops whose counters the loop bodies never write.
+loads, loads that stride with a loop counter, forward branches, ``jmp``,
+backward loops of 1 to 8 iterations, countdown loops, ``rdcycle``,
+``fence``, ``clflush``, ``prefetch`` and ``prefetchw``; some draws turn
+speculative execution or an OoO load-hiding window on, and two in three
+turn PREFENDER on.  PREFENDER's Access Tracker trains on a load that
+touches ``at_threshold`` (4) distinct lines, so strided loads are drawn
+twice as often as the other memory items and stride by a line or more in
+three draws of four, and a loop of 4 or more iterations around one trains
+the tracker, whose prefetches then fill the traces.  In some draws every
+core but the last halts right after its prologue, so the last one runs
+alone: a lone core runs the lone-core block table, whose blocks hold
+memory ops too (``repro.cpu.blocks``), and one-core draws run it
+throughout.  Every program halts by construction: backward edges only
+close counted loops whose counters the loop bodies never write.
+``tests/test_trace_replay.py`` draws from the same generator
+(:func:`programs`) without the items that read the clock, serialise,
+flush or prefetch.
 
 Three systems run each draw:
 
@@ -69,6 +77,8 @@ _IMMS = (
 
 _reg = st.sampled_from(_REGS)
 _scale = st.sampled_from((8, 64, 192, 4096))
+#: A strided load's scale: a line or more in three draws of four.
+_stride = st.sampled_from((8, 64, 64, 128, 192, 4096))
 _imm = st.one_of(st.sampled_from(_IMMS), st.integers(-(1 << 66), 1 << 66))
 #: Two 32-byte slots per shared line: loads read what stores wrote.
 _slot = st.integers(0, 2 * LINES - 1)
@@ -102,34 +112,47 @@ _run = st.tuples(
         max_size=4,
     ),
 )
-_simple = _weighted(
+#: Non-loop items a replayed program may hold, with their weights.
+_REPLAYABLE_ITEMS = (
     (_run, 6),
     (st.tuples(st.just("load"), _reg, _slot), 1),
     (st.tuples(st.just("load_via"), _reg, _reg), 1),
     (st.tuples(st.just("store"), _reg, _slot), 1),
     (st.tuples(st.just("scaled"), _reg, _reg, _scale), 1),
-    (st.tuples(st.just("strided"), _reg, _scale), 1),
+    (st.tuples(st.just("strided"), _reg, _stride), 2),
+    (_fwd, 3),
+    (st.tuples(st.just("jmp"), st.integers(0, 3)), 1),
+)
+#: The rest: they read the clock, serialise, flush or prefetch.
+_CLOCKED_ITEMS = (
     (st.tuples(st.just("clflush"), _slot), 1),
     (st.tuples(st.just("prefetch"), st.booleans(), _slot), 1),
     (st.tuples(st.just("rdcycle"), _reg), 1),
     (st.just(("fence",)), 1),
-    (_fwd, 3),
-    (st.tuples(st.just("jmp"), st.integers(0, 3)), 1),
 )
-_item = _weighted(
-    (_simple, 4),
-    (
-        st.tuples(
-            st.just("loop"),
-            st.sampled_from(("bne", "blt", "bge", "jmp")),
-            st.integers(1, 4),
-            st.lists(_simple, min_size=1, max_size=6),
+
+
+def programs(replayable: bool = False) -> st.SearchStrategy:
+    """Item lists for :func:`_build`; with ``replayable``, none of the
+    items that read the clock, serialise, flush or prefetch."""
+    simple = _weighted(*_REPLAYABLE_ITEMS, *(() if replayable else _CLOCKED_ITEMS))
+    item = _weighted(
+        (simple, 4),
+        (
+            st.tuples(
+                st.just("loop"),
+                st.sampled_from(("bne", "blt", "bge", "jmp")),
+                st.integers(1, 8),
+                st.lists(simple, min_size=1, max_size=6),
+            ),
+            1,
         ),
-        1,
-    ),
-    (st.tuples(st.just("countdown"), st.integers(1, 40)), 1),
-)
-_program = st.lists(_item, min_size=2, max_size=16)
+        (st.tuples(st.just("countdown"), st.integers(1, 40)), 1),
+    )
+    return st.lists(item, min_size=2, max_size=16)
+
+
+_program = programs()
 
 
 def _emit_alu(builder: ProgramBuilder, item: tuple) -> None:
@@ -270,7 +293,9 @@ def test_blocks_match_the_per_instruction_path(data):
     ]
     speculative = data.draw(st.booleans(), label="speculative")
     hide = data.draw(st.sampled_from((0, 110)), label="load_hide_cycles")
-    kind = data.draw(st.sampled_from(("none", "prefender")), label="prefetcher")
+    kind = data.draw(
+        st.sampled_from(("none", "prefender", "prefender")), label="prefetcher"
+    )
     config = SystemConfig(
         hierarchy=SMALL_CACHES,
         num_cores=cores,

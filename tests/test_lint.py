@@ -154,6 +154,31 @@ def test_slot201_silent_outside_scope():
     assert rules_hit(src, OUTSIDE) == []
 
 
+# -- SLOT202: per-access records built positionally --------------------------
+
+PREFETCH = "src/repro/prefetch/thing.py"
+
+
+def test_slot202_flags_keyword_built_record():
+    src = "r = PrefetchRequest(addr=a, component='st')\n"
+    assert rules_hit(src, PREFETCH) == ["SLOT202"]
+    src = "o = base.Observation('load', 0, pc, addr, block, True, now, scale=4)\n"
+    assert rules_hit(src, MEM) == ["SLOT202"]
+
+
+def test_slot202_clean_when_positional_unlisted_or_out_of_scope():
+    src = (
+        "r = PrefetchRequest(a, 'st')\n"
+        "e = _Entry(*row)\n"
+        "line = CacheLine(block, ready, prefetched=True)\n"
+    )
+    assert rules_hit(src, PREFETCH) == []
+    # Tests keep their keyword helpers.
+    keyword = "r = PrefetchRequest(addr=a, component='st')\n"
+    assert rules_hit(keyword, "tests/test_prefetchers.py") == []
+    assert rules_hit(keyword, OUTSIDE) == []
+
+
 # -- CFG301: JSON-round-trippable config fields ------------------------------
 
 

@@ -7,6 +7,12 @@ buffer or fails an allocation: every such buffer count gives the same run
 first job of each effective key and hands every later one an equal copy;
 no bundled program has more than 4 load PCs, so Table IV's 16/32/64
 columns share one simulation per workload and prefetcher kind.
+
+The six runs left per Table IV workload share one instruction stream: the
+first is recorded and the other five replay its loads and stores
+(``tests/test_trace_replay.py`` checks that a replay is exact).  A full
+run and a replay each make one ``System.run`` call, which is what these
+tests count as a simulation.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import dataclasses
 import pytest
 
 from repro.core.config import PrefenderConfig
+from repro.cpu.system import System
 from repro.experiments import common, table4
 from repro.isa import ProgramBuilder
 from repro.runner import SimJob, job as job_module, run_batch
@@ -44,7 +51,7 @@ def _count(monkeypatch, owner, name):
 
 
 def _simulations(monkeypatch):
-    return _count(monkeypatch, job_module, "run_program")
+    return _count(monkeypatch, System, "run")
 
 
 def test_load_pc_count_counts_load_instructions():
@@ -115,6 +122,22 @@ def test_a_table4_batch_simulates_each_effective_key_once(monkeypatch):
     assert run_batch(jobs) == expected
     assert len(simulations) == 2 * 6 * len(names)
     assert len(runs) == 2 * len(jobs)
+
+
+def test_table4_records_each_workload_once_and_replays_the_rest(monkeypatch):
+    recordings = _count(monkeypatch, job_module, "record_program")
+    replays = _count(monkeypatch, job_module, "replay_program")
+    inline = table4.run(scale=SCALE)
+    # 12 workloads x 6 distinct runs: one recorded, five replayed.
+    assert (len(recordings), len(replays)) == (12, 60)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool worker shared an instruction stream")
+
+    # Forked workers inherit the patch, and open no share table.
+    monkeypatch.setattr(job_module, "record_program", refuse)
+    monkeypatch.setattr(job_module, "replay_program", refuse)
+    assert table4.run(scale=SCALE, jobs=2) == inline
 
 
 def test_nothing_is_shared_below_the_load_pc_count(monkeypatch):

@@ -18,6 +18,11 @@ DET104     analysis transfer function iterating a set-annotated
 SLOT201    hot-path class without ``__slots__`` in ``mem/`` or
            ``isa/decode.py``: per-instance dicts bloat the simulator's
            innermost structures
+SLOT202    keyword argument in a call building a per-access record
+           (``Observation``, ``AccessOutcome``, ``PrefetchRequest``,
+           ``_Entry``) in ``mem/``, ``prefetch/`` or ``core/``: a
+           dataclass's generated ``__init__`` binds keywords two to three
+           times slower than positions, once per load
 CFG301     config-tree dataclass field that cannot survive a JSON round
            trip: result-store keys fingerprint these configs
 POOL401    lambda or nested function submitted to the worker pool: it
@@ -379,6 +384,29 @@ class SlotsRequiredRule(_PrefixScopedRule):
                     node.lineno,
                     f"class {node.name} allocates a per-instance __dict__",
                 )
+
+
+#: Records built once per access (or per prefetch, or per MSHR fill).
+_PER_ACCESS_RECORDS = frozenset(
+    {"Observation", "AccessOutcome", "PrefetchRequest", "_Entry"}
+)
+
+
+class PositionalRecordRule(_PrefixScopedRule):
+    """SLOT202: per-access records are built positionally."""
+
+    rule_id = "SLOT202"
+    description = "keyword argument building a per-access record"
+    fixit = "pass the fields positionally, in declaration order"
+    scope = ("src/repro/mem/", "src/repro/prefetch/", "src/repro/core/")
+
+    def check(self, tree: ast.Module, relpath: str) -> Iterator[tuple[int, str]]:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not node.keywords:
+                continue
+            name = _dotted(node.func).rsplit(".", 1)[-1]
+            if name in _PER_ACCESS_RECORDS:
+                yield (node.lineno, f"{name}(...) built with keyword arguments")
 
 
 _JSON_LEAVES = frozenset({"int", "float", "str", "bool", "None"})
@@ -873,6 +901,7 @@ LINT_RULES = (
     SetIterationRule(),
     SetParameterIterationRule(),
     SlotsRequiredRule(),
+    PositionalRecordRule(),
     ConfigJsonRule(),
     PoolPicklableRule(),
     SnapshotCoverageRule(),
